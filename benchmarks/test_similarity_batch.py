@@ -74,8 +74,8 @@ def test_batched_pair_matrix_speedup(benchmark):
         pairs.extend(candidate_pairs_of_name(net, name))
     assert pairs, "bench corpus produced no candidate pairs"
 
-    # Per-vertex profiles are shared by both paths; warm them first so the
-    # comparison isolates pair scoring.
+    # Warm the scalar path's per-vertex profiles first so the comparison
+    # isolates pair scoring (the batched path builds its own columns).
     with timer.stage("profile_warm"):
         for u, v in pairs:
             computer.profile(u)
@@ -89,9 +89,9 @@ def test_batched_pair_matrix_speedup(benchmark):
             best = min(best, time.perf_counter() - t0)
         return result, best
 
-    # First batched call includes mirroring profiles into columnar arrays
-    # (paid once per network); the steady-state stage re-scores on the
-    # warm store, which is what every merge round after the first sees.
+    # First batched call includes building every vertex's columns (paid
+    # once per network); the steady-state stage re-scores on the warm
+    # store, which is what every merge round after the first sees.
     with timer.stage("batched_cold"):
         batched = computer.pair_matrix_batched(pairs)
     reference, perpair_seconds = best_of(

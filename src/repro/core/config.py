@@ -77,8 +77,7 @@ class IUADConfig:
             sharded fit.  Chunks tile the global pair order with whole
             names and are independent of both shard and worker count —
             a fat shard never serialises the phase, and serial/pool runs
-            fill byte-identical result buffers.  Also the chunk size of
-            the split-balance scoring tasks.
+            fill byte-identical result buffers.
         mp_start_method: Start method of the sharded fit's process pool
             (``"fork"``, ``"spawn"`` or ``"forkserver"``).  ``None``
             (default) picks ``"fork"`` where the platform offers it —

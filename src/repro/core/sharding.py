@@ -32,11 +32,9 @@ Execution plan of :class:`ShardedIUAD.fit` (serial or process-pool):
    serialises the phase and serial/pool runs fill byte-identical
    buffers); each worker writes its chunk's rows straight into a
    :mod:`multiprocessing.shared_memory` block instead of pickling γ
-   matrices back.  Split-balance matched pairs (the densest profile
-   work of model learning) are scored **in the parent** while the pool
-   crunches γ chunks: their profile build allocates so much transient
-   memory that running it in a freshly forked (or spawned) worker
-   degenerates into a copy-on-write page-fault storm — see
+   matrices back.  Split-balance matched pairs (the densest per-vertex
+   work of model learning) are scored by the pool too, in small chunks
+   submitted ahead of the γ chunks into a second shared block — see
    :func:`_score_split_chunk`.
 4. **Global model** (serial, *overlapped*): the training sample is drawn
    from the global candidate order (identical to the single-process
@@ -422,9 +420,8 @@ class _ArrayRef:
     segment (``shm_name``): γ chunks are *written in place* by workers
     and never round-trip through pickle.  The serial in-process path
     (and the zero-row degenerate case) holds a plain array directly in
-    ``array`` instead of allocating an OS segment.  (The split-balance
-    buffer is always a plain parent-side array — see
-    :func:`_score_split_chunk`.)
+    ``array`` instead of allocating an OS segment.  The split-balance
+    buffer travels the same way.
     """
 
     rows: int
@@ -495,11 +492,10 @@ class _WorkerContext:
     """Heavy shared inputs, shipped once per worker (pool initializer).
 
     Tasks themselves stay light (name lists, vid tuples, row spans): the
-    SCN, the corpus, the global frequency tables and the γ-buffer
-    reference travel to each worker process exactly once instead of
-    once per task, which is what keeps pool overhead flat as the number
-    of chunks grows.  (The split-balance network deliberately stays
-    out: its scoring runs parent-side — see :func:`_score_split_chunk`.)
+    SCN, the split-balance network, the corpus, the global frequency
+    tables and the result-buffer references travel to each worker
+    process exactly once instead of once per task, which is what keeps
+    pool overhead flat as the number of chunks grows.
     """
 
     scn: CollaborationNetwork
@@ -510,6 +506,8 @@ class _WorkerContext:
     wl_iterations: int
     decay_alpha: float
     gamma_ref: _ArrayRef
+    split_network: CollaborationNetwork | None
+    split_ref: _ArrayRef
 
     def computer(self, network: CollaborationNetwork) -> SimilarityComputer:
         """A similarity computer over ``network`` with the global tables."""
@@ -584,6 +582,14 @@ class _ChunkDone:
     seconds: float
 
 
+#: Split-balance pairs per task.  Both sides of a split pair are fresh
+#: vertices of the dense split network, so a pair costs ~100× a
+#: candidate pair: small chunks spread the work over the pool instead of
+#: serialising the EM midsection behind one task.  Fixed — never derived
+#: from the worker count — so serial and pool runs chunk identically.
+SPLIT_CHUNK_PAIRS = 50
+
+
 @dataclass(slots=True)
 class _SplitScoreTask:
     index: int
@@ -646,26 +652,20 @@ def _compute_gamma_chunk(task: _GammaChunkTask) -> _ChunkDone:
     return _ChunkDone(index=task.index, seconds=time.perf_counter() - t0)
 
 
-def _score_split_chunk(
-    computer: SimilarityComputer, split_buf: np.ndarray, task: _SplitScoreTask
-) -> _ChunkDone:
+def _score_split_chunk(task: _SplitScoreTask) -> _ChunkDone:
     """Score one chunk of split-balance matched pairs (Section V-F2).
 
-    This deliberately runs **in the parent**, overlapped with the pooled
-    γ chunks, never as a pool task.  Profiles on the dense split network
-    allocate on the order of a gigabyte of transients; in a forked
-    worker every one of those writes lands on a copy-on-write arena
-    page inherited from the parent, and the resulting minor-fault storm
-    (~400k faults measured for a few hundred pairs) made the pooled
-    version 10–30× slower than this in-parent loop, whose heap is
-    already warm.  A spawn worker fares no better — it pays the same
-    bill unpickling the context.  The parent scores the split buffer
-    while the pool crunches γ, which is all the parallelism this small,
-    profile-bound workload can profit from.
+    Like a γ chunk, each chunk starts a fresh computer (over the split
+    network) and writes its rows in place, so serial and pool runs fill
+    byte-identical buffers.  Building a split vertex's columns allocates
+    little — WL labels are interned to ints — so the chunk pays no
+    copy-on-write fault storm in a forked worker.
     """
     t0 = time.perf_counter()
-    out = split_buf[task.offset : task.offset + len(task.pairs)]
-    computer.pair_matrix(task.pairs, out=out)
+    ctx = _require_ctx()
+    assert ctx.split_network is not None, "split task without a split network"
+    out = _view_of(ctx.split_ref)[task.offset : task.offset + len(task.pairs)]
+    ctx.computer(ctx.split_network).pair_matrix(task.pairs, out=out)
     return _ChunkDone(index=task.index, seconds=time.perf_counter() - t0)
 
 
@@ -1018,6 +1018,8 @@ class ShardedIUAD(IUAD):
         ctx = self._make_context(
             scn, corpus, word_freq, venue_freq,
             _ArrayRef(rows=gplan.total_rows, array=gamma_buf),
+            split_network,
+            _ArrayRef(rows=len(split_pairs), array=split_buf),
         )
         _init_worker(ctx)
         phase = _PhaseStats(n_gamma_chunks=len(gplan.tasks))
@@ -1032,12 +1034,8 @@ class ShardedIUAD(IUAD):
         phase.gamma_wall_seconds = time.perf_counter() - t
 
         t = time.perf_counter()
-        if split_tasks:
-            split_computer = ctx.computer(split_network)
-            for split_task in split_tasks:
-                phase.split_task_seconds += _score_split_chunk(
-                    split_computer, split_buf, split_task
-                ).seconds
+        for split_task in split_tasks:
+            phase.split_task_seconds += _score_split_chunk(split_task).seconds
         phase.split_wall_seconds = time.perf_counter() - t
 
         t = time.perf_counter()
@@ -1090,13 +1088,13 @@ class ShardedIUAD(IUAD):
     ) -> _FitOutcome:
         """Pipelined pool execution: submit/as_completed, no phase barriers.
 
-        Timeline: all γ chunks are submitted up front; the parent then
-        scores the split-balance pairs itself while the pool crunches γ
-        (pooling that profile-bound workload loses badly — see
-        :func:`_score_split_chunk`); the EM midsection starts once the
-        split buffer and the *sampled* γ rows are in — the γ tail keeps
-        computing underneath it; each shard's decision task is
-        dispatched the moment both the model and its γ rows exist.
+        Timeline: all split-balance chunks, then all γ chunks, are
+        submitted up front (split chunks first: EM needs every one of
+        them, but only the γ chunks holding a sampled row); the EM
+        midsection starts once the split buffer and the *sampled* γ rows
+        are in — the γ tail keeps computing underneath it; each shard's
+        decision task is dispatched the moment both the model and its γ
+        rows exist.
         Results are keyed by chunk/shard index, so completion order
         never leaks into the outcome.
         """
@@ -1108,9 +1106,10 @@ class ShardedIUAD(IUAD):
         )
         mp_context = multiprocessing.get_context(method)
         gamma_ref, gamma_buf = self._shared_block(gplan.total_rows, shm_blocks)
-        split_buf = np.zeros((len(split_pairs), 6), dtype=np.float64)
+        split_ref, split_buf = self._shared_block(len(split_pairs), shm_blocks)
         ctx = self._make_context(
             scn, corpus, word_freq, venue_freq, gamma_ref,
+            split_network, split_ref,
         )
         if method == "fork":
             # Fork workers inherit the parent's memory copy-on-write:
@@ -1147,6 +1146,14 @@ class ShardedIUAD(IUAD):
             max_workers=cfg.n_workers, mp_context=mp_context, **pool_kwargs
         ) as pool:
             t_pipe = time.perf_counter()
+            split_futs: list[Future] = []
+            for split_task in split_tasks:
+                phase.ipc_task_bytes += len(
+                    pickle.dumps(split_task, pickle.HIGHEST_PROTOCOL)
+                )
+                fut = pool.submit(_score_split_chunk, split_task)
+                fut.add_done_callback(stamp("split", split_task.index))
+                split_futs.append(fut)
             gamma_futs: dict[Future, _GammaChunkTask] = {}
             for task in gplan.tasks:
                 phase.ipc_task_bytes += len(
@@ -1156,16 +1163,8 @@ class ShardedIUAD(IUAD):
                 fut.add_done_callback(stamp("gamma", task.index))
                 gamma_futs[fut] = task
 
-            # Split-balance scoring runs here in the parent, under the
-            # pool's γ work — the first slice of pipeline overlap.
-            t_split = time.perf_counter()
-            if split_tasks:
-                split_computer = ctx.computer(split_network)
-                for split_task in split_tasks:
-                    phase.split_task_seconds += _score_split_chunk(
-                        split_computer, split_buf, split_task
-                    ).seconds
-            phase.split_wall_seconds = time.perf_counter() - t_split
+            for fut in split_futs:
+                phase.split_task_seconds += fut.result().seconds
 
             # The EM midsection additionally needs exactly the γ chunks
             # carrying a sampled training row — not the whole phase.
@@ -1246,6 +1245,8 @@ class ShardedIUAD(IUAD):
             ts for (k, _), ts in finished_at.items() if k == "decide"
         ]
         phase.gamma_wall_seconds = max(gamma_done, default=t_pipe) - t_pipe
+        split_done = [ts for (k, _), ts in finished_at.items() if k == "split"]
+        phase.split_wall_seconds = max(split_done, default=t_pipe) - t_pipe
         phase.decide_wall_seconds = (
             max(decide_done) - t_decide if decide_done and t_decide else 0.0
         )
@@ -1254,9 +1255,9 @@ class ShardedIUAD(IUAD):
             1 for (k, _), ts in finished_at.items() if k == "gamma" and ts > t_em
         )
         # Concurrency won: how much longer the phases would have taken
-        # laid end to end.  The parent-side split loop runs under the γ
-        # wall, and the γ tail runs under EM/decide, so the sum of walls
-        # can legitimately exceed the pipeline.
+        # laid end to end.  Split chunks run alongside the γ chunks, and
+        # the γ tail runs under EM/decide, so the sum of walls can
+        # legitimately exceed the pipeline.
         phase.overlap_seconds = max(
             0.0,
             phase.gamma_wall_seconds
@@ -1290,6 +1291,8 @@ class ShardedIUAD(IUAD):
         word_freq: dict[str, int],
         venue_freq: dict[str, int],
         gamma_ref: _ArrayRef,
+        split_network: CollaborationNetwork | None,
+        split_ref: _ArrayRef,
     ) -> _WorkerContext:
         cfg = self.config
         return _WorkerContext(
@@ -1301,6 +1304,8 @@ class ShardedIUAD(IUAD):
             wl_iterations=cfg.wl_iterations,
             decay_alpha=cfg.decay_alpha,
             gamma_ref=gamma_ref,
+            split_network=split_network,
+            split_ref=split_ref,
         )
 
     @staticmethod
@@ -1336,11 +1341,10 @@ class ShardedIUAD(IUAD):
     def _split_tasks(
         self, scn: CollaborationNetwork
     ) -> tuple[list[Pair], list[_SplitScoreTask], CollaborationNetwork | None]:
-        """Split-balance matched pairs, chunked like the γ phase.
-
-        Chunk size follows ``config.gamma_chunk_pairs`` — not the worker
-        count — so the layout (and the float accumulation order behind
-        it) is identical on the serial and pool paths.
+        """Split-balance matched pairs, in chunks of
+        :data:`SPLIT_CHUNK_PAIRS` — never sized by the worker count — so
+        the layout (and the float accumulation order behind it) is
+        identical on the serial and pool paths.
         """
         cfg = self.config
         if not cfg.balance_split:
@@ -1354,7 +1358,7 @@ class ShardedIUAD(IUAD):
         pairs = list(split.matched_pairs)
         if not pairs:
             return [], [], None
-        chunk = max(1, cfg.gamma_chunk_pairs)
+        chunk = SPLIT_CHUNK_PAIRS
         tasks = [
             _SplitScoreTask(
                 index=i, offset=start, pairs=pairs[start : start + chunk]

@@ -48,7 +48,7 @@ sequential loop:
    never below it by more than the snapshot overhead.
 
 4. **Incremental attach updates** — attachments fold the new paper into
-   the target's cached profile in place
+   the target's cached profile and cached columns in place
    (``SimilarityComputer.attach_paper``): WL features and triangles
    depend only on adjacency, which an attachment never changes, so the
    full rebuild that drop-and-rebuild invalidation used to force on
@@ -56,9 +56,11 @@ sequential loop:
    the sequential path alike.
 
 Honest throughput accounting: the end-to-end gain of ``add_papers`` is
-bounded by two costs both paths share — profile construction for every
-distinct candidate (the irreducible floor) and the genuinely dependent
-pairs, which exact parity *requires* re-scoring at sequential cost.  The
+bounded by two costs both paths share — the per-vertex WL/triangle
+gather for every distinct uncached candidate (the paper-derived columns
+are built in one vectorised pass per scoring call) and the genuinely
+dependent pairs, which exact parity *requires* re-scoring at sequential
+cost.  The
 vectorised snapshot itself scores pairs several times faster than the
 per-pair scalar loop; ``benchmarks/test_table6_streaming.py`` records
 both that scoring throughput and the end-to-end papers/second.

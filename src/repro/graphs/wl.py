@@ -14,7 +14,8 @@ so different sub-graph sizes do not distort the similarity.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
+from typing import Hashable
 
 from .collab import CollaborationNetwork
 
@@ -24,15 +25,15 @@ FeatureMap = Counter  # label -> occurrence count
 def ball(net: CollaborationNetwork, vid: int, radius: int) -> set[int]:
     """Vertices within ``radius`` hops of ``vid`` (BFS ball, inclusive)."""
     seen = {vid}
-    frontier = deque([(vid, 0)])
-    while frontier:
-        node, depth = frontier.popleft()
-        if depth == radius:
-            continue
-        for nbr in net.adjacency(node):
-            if nbr not in seen:
-                seen.add(nbr)
-                frontier.append((nbr, depth + 1))
+    frontier = {vid}
+    for _ in range(radius):
+        reached: set[int] = set()
+        for node in frontier:
+            reached.update(net.adjacency(node).keys())
+        frontier = reached - seen
+        if not frontier:
+            break
+        seen |= frontier
     return seen
 
 
@@ -64,34 +65,56 @@ def wl_feature_map(
     net: CollaborationNetwork,
     vid: int,
     h: int = 2,
+    interner: dict[Hashable, int] | None = None,
 ) -> FeatureMap:
     """``φ⟨h⟩(v)``: WL label histogram of the radius-``h`` ball around ``v``.
 
-    Labels start as vertex names (iteration 0) and are refined ``h`` times
-    by hashing each vertex's label together with the sorted multiset of its
-    neighbours' labels.  The returned counter aggregates all iterations;
+    Labels start as vertex names (iteration 0) and are refined ``h`` times:
+    a vertex's next label is the pair ``(own label, sorted tuple of its
+    neighbours' labels)``.  The returned counter aggregates all iterations;
     the anchor vertex's own name is excluded at iteration 0 (two same-name
     vertices trivially share it).
+
+    Labels are structured, never joined into strings, so no name can
+    collide with a neighbour list: a co-author named ``"a,b"`` and two
+    co-authors ``"a"`` and ``"b"`` refine to different labels.  Labels of
+    different iterations never coincide either (iteration 0 labels are
+    strings, iteration ``i`` labels are pairs over iteration ``i - 1``
+    labels).
+
+    ``interner`` optionally compresses every label on creation to a
+    small int: a grow-only ``label -> id`` dict, extended in place and
+    shared by all vertices a scorer compares, so refinement sorts and
+    hashes ints instead of nested tuples.  Feature maps are comparable
+    only when built with the same ``interner`` (or all without one).
     """
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h}")
     nodes = ball(net, vid, h)
-    labels: dict[int, str] = {u: net.name_of(u) for u in nodes}
+    labels: dict[int, Hashable] = {u: net.name_of(u) for u in nodes}
+    if interner is not None:
+        labels = {
+            u: interner.setdefault(name, len(interner))
+            for u, name in labels.items()
+        }
     features: FeatureMap = Counter()
     for u in nodes:
         if u != vid:
-            features[("0", labels[u])] += 1
-    for iteration in range(1, h + 1):
-        new_labels: dict[int, str] = {}
+            features[labels[u]] += 1
+    for _iteration in range(h):
+        refined: dict[int, Hashable] = {}
         for u in nodes:
-            neighbour_labels = sorted(
+            neighbours = sorted(
                 labels[w] for w in net.adjacency(u) if w in nodes
             )
-            signature = labels[u] + "|" + ",".join(neighbour_labels)
-            new_labels[u] = signature
-        labels = new_labels
-        for u in nodes:
-            features[(str(iteration), labels[u])] += 1
+            label = (labels[u], tuple(neighbours))
+            refined[u] = (
+                label
+                if interner is None
+                else interner.setdefault(label, len(interner))
+            )
+        labels = refined
+        features.update(labels.values())
     return features
 
 

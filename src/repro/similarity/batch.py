@@ -2,8 +2,8 @@
 
 The per-pair path in :mod:`.profile` walks Python dicts for every candidate
 pair; with tens of thousands of same-name pairs (Table V scales) that loop
-dominates Stage 2.  This module keeps a *columnar* mirror of the vertex
-profiles — every per-vertex feature multiset (keywords, venues, WL labels,
+dominates Stage 2.  This module keeps a *columnar* store of per-vertex
+state — every per-vertex feature multiset (keywords, venues, WL labels,
 triangles) is interned into a global column space and stored as aligned
 ``(column, value)`` arrays — and evaluates all six similarity functions for
 an entire pair list with numpy/scipy sparse kernels:
@@ -23,19 +23,32 @@ an entire pair list with numpy/scipy sparse kernels:
                                                ``bincount``
 ======  =======  ============================  ===============================
 
-Identity model: profiles (and hence the columnar mirrors) are keyed by
-*vertex id*, and a vertex's papers are derived from its per-occurrence
-mention payload (``(paper, name, position)`` — see
-:mod:`repro.graphs.collab`).  Two homonymous co-authors of one paper are
-two vertices, so their mirrors never alias even though the underlying
-paper and name coincide.
+Identity model: column caches are keyed by *vertex id*, and a vertex's
+papers are derived from its per-occurrence mention payload (``(paper,
+name, position)`` — see :mod:`repro.graphs.collab`).  Two homonymous
+co-authors of one paper are two vertices, so their columns never alias
+even though the underlying paper and name coincide.
 
-Cache semantics: the engine caches one :class:`VertexArrays` per vertex id,
-derived from the corresponding :class:`~.profile.VertexProfile`.  The owner
-(:class:`~.profile.SimilarityComputer`) invalidates both caches together —
-see its ``invalidate``/``rebind`` docs for the hop-radius contract.  Interned
-column ids are grow-only, so cached per-vertex column arrays stay valid as
-the vocabulary expands (new papers, new venues).
+Columnar build: every paper is registered once into flat per-paper
+columns (its interned keyword columns in title order, its year, its
+venue column).  The columns of all cache-missing vertices of one
+:meth:`BatchSimilarityEngine.gamma_matrix` call are then produced
+together by a few sort/reduce passes over the ``(vertex, paper)``
+incidence (:meth:`BatchSimilarityEngine.build`) — keyword counts and
+usage-year windows, venue counts and the representative venue, and the
+γ3 centroids.  Only the structural features (WL labels and triangles)
+are gathered per vertex by the owner, straight into integer column ids.
+
+Cache semantics: the engine caches one :class:`VertexArrays` per vertex
+id, built from the owner's network by the columnar pass above — never
+copied from a :class:`~.profile.VertexProfile`, which only the scalar
+path builds.  The owner (:class:`~.profile.SimilarityComputer`) drops a
+vertex's columns together with its profile — see its
+``invalidate``/``rebind`` docs for the hop-radius contract — and refreshes
+the paper-derived columns in place when a paper is attached.  Interned
+column ids are grow-only and keywords/venues are interned in first-seen
+(vertex id, paper id, title) order, so cached per-vertex column arrays
+stay valid as the vocabulary expands (new papers, new venues).
 
 Numerical contract: every γ matches the scalar path of :mod:`.profile` to
 well below 1e-9 (the only differences are floating-point summation order);
@@ -46,15 +59,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # only for annotations — profile.py imports this module
-    from .profile import VertexProfile
+from ..text.embeddings import WordEmbeddings
 
 Pair = tuple[int, int]
 
@@ -84,9 +94,39 @@ class FeatureInterner:
         return idx
 
 
+class _IntColumn:
+    """Grow-only int64 column: appends land in a list and are moved into
+    an amortised-doubling numpy buffer when the column is read."""
+
+    __slots__ = ("_data", "_size", "_pending")
+
+    def __init__(self, initial: Iterable[int] = ()) -> None:
+        self._data = np.empty(1024, dtype=np.int64)
+        self._size = 0
+        self._pending: list[int] = list(initial)
+
+    def append(self, value: int) -> None:
+        self._pending.append(value)
+
+    def extend(self, values: Iterable[int]) -> None:
+        self._pending.extend(values)
+
+    def array(self) -> np.ndarray:
+        if self._pending:
+            end = self._size + len(self._pending)
+            if end > self._data.size:
+                grown = np.empty(max(end, 2 * self._data.size), dtype=np.int64)
+                grown[: self._size] = self._data[: self._size]
+                self._data = grown
+            self._data[self._size : end] = self._pending
+            self._size = end
+            self._pending = []
+        return self._data[: self._size]
+
+
 @dataclass(slots=True)
 class VertexArrays:
-    """Columnar mirror of one :class:`VertexProfile`.
+    """Columnar state of one vertex, as the γ kernels read it.
 
     All keyword-aligned arrays (``kw_cols``/``kw_counts``/``kw_lohi``)
     share one ordering, sorted by column id so CSR rows assembled from them
@@ -106,47 +146,101 @@ class VertexArrays:
     wl_cols: np.ndarray        # int64, sorted WL label ids
     wl_counts: np.ndarray      # float64
     wl_norm: float             # sqrt(K⟨h⟩(v, v))
-    centroid: np.ndarray | None
     centroid_norm: float
     cent_slot: int             # row in the engine's dense store, -1 if none
 
 
-def _sorted_cols(cols: list[int], *data: list[float]) -> tuple[np.ndarray, ...]:
-    """Sort aligned (cols, data...) lists by column id, as numpy arrays."""
-    col_arr = np.asarray(cols, dtype=np.int64)
-    data_arrs = [np.asarray(d, dtype=np.float64) for d in data]
-    if len(col_arr) > 1:
-        order = np.argsort(col_arr, kind="stable")
-        col_arr = col_arr[order]
-        data_arrs = [d[order] for d in data_arrs]
-    return (col_arr, *data_arrs)
+@dataclass(slots=True)
+class _PaperColumns:
+    """Paper-derived columns of a block of vertices, flat with offsets."""
+
+    kw_ptr: np.ndarray
+    kw_cols: np.ndarray
+    kw_counts: np.ndarray
+    kw_lohi: np.ndarray
+    kw_norms: np.ndarray
+    ven_ptr: np.ndarray
+    ven_cols: np.ndarray
+    ven_counts: np.ndarray
+    top_cols: np.ndarray
+    centroids: np.ndarray | None   # (n_with_centroid, dim) rows ...
+    cent_of: np.ndarray            # ... row of each vertex, -1 if none
+    cent_norms: np.ndarray
+
+
+def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in ``sorted_keys``."""
+    if sorted_keys.size == 0:
+        return np.empty(0, dtype=np.int64)
+    change = np.empty(sorted_keys.size, dtype=bool)
+    change[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
+def _ptr(owner: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets of entries grouped by (sorted) owner index ``< n``."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _grouped(owner: np.ndarray, cols: np.ndarray, width: int):
+    """Sort ``(owner, col)`` entries and group equal pairs.
+
+    Returns ``(order, starts, owner, col)``: the stable sort order, the
+    start of each group in sorted order, and each group's owner and
+    column.  ``order[starts]`` is each group's first entry in input order.
+    """
+    keys = owner * max(width, 1) + cols
+    order = np.argsort(keys, kind="stable")
+    starts = _group_starts(keys[order])
+    first = order[starts]
+    return order, starts, owner[first], cols[first]
+
+
+def _split(flat: np.ndarray, ptr: list[int]) -> list[np.ndarray]:
+    return [flat[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 class BatchSimilarityEngine:
-    """Round-persistent columnar profile store + vectorised γ evaluation.
+    """Round-persistent columnar store + vectorised γ evaluation.
 
     One engine lives inside each :class:`~.profile.SimilarityComputer`; the
-    interners (and thus column ids) persist for the computer's lifetime, so
-    per-vertex arrays survive merge rounds untouched unless explicitly
-    invalidated.
+    interners (and thus column ids) and the per-paper registry persist for
+    the computer's lifetime, so per-vertex arrays survive merge rounds
+    untouched unless explicitly invalidated.
     """
 
     def __init__(
         self,
         word_frequencies: Mapping[str, int],
         venue_frequencies: Mapping[str, int],
+        embeddings: WordEmbeddings | None = None,
     ) -> None:
         self._word_frequencies = word_frequencies
         self._venue_frequencies = venue_frequencies
+        self._embeddings = embeddings
         self._kw = FeatureInterner()
         self._kw_weight: list[float] = []   # 1 / log(1 + F_B(word)), by col
+        self._kw_row = _IntColumn()         # embedding row by col, -1 if OOV
         self._ven = FeatureInterner()
         self._ven_weight: list[float] = []  # 1 / log(1 + F_H(venue)), by col
-        self._wl = FeatureInterner()
+        #: WL label -> column id, extended in place by
+        #: :func:`repro.graphs.wl.wl_feature_map` (both γ paths share it).
+        self.wl_labels: dict[Hashable, int] = {}
         self._tri = FeatureInterner()
         self._arrays: dict[int, VertexArrays] = {}
         self._kw_weight_arr = np.empty(0, dtype=np.float64)
         self._ven_weight_arr = np.empty(0, dtype=np.float64)
+        # Per-paper registry: slot of each registered pid, and flat
+        # columns by slot (keyword columns in title order via offsets).
+        self._paper_slot: dict[int, int] = {}
+        self._paper_kw_ptr = _IntColumn((0,))
+        self._paper_kw = _IntColumn()
+        self._n_paper_kw = 0
+        self._paper_year = _IntColumn()
+        self._paper_venue = _IntColumn()
         # Contiguous centroid store: vertices with a γ3 centroid own a row
         # (``cent_slot``); freed slots are recycled on invalidation.
         self._cent_matrix: np.ndarray | None = None
@@ -168,11 +262,15 @@ class BatchSimilarityEngine:
         self._cent_free.clear()
         self._cent_used = 0
 
+    def cached_vids(self) -> list[int]:
+        """Vertex ids whose columns are cached."""
+        return list(self._arrays)
+
     def __contains__(self, vid: int) -> bool:
         return vid in self._arrays
 
     # ------------------------------------------------------------------ #
-    # interning
+    # interning and paper registration
     # ------------------------------------------------------------------ #
     def _intern_keyword(self, word: str) -> int:
         before = len(self._kw)
@@ -180,6 +278,12 @@ class BatchSimilarityEngine:
         if len(self._kw) != before:
             freq = self._word_frequencies.get(word, 1)
             self._kw_weight.append(1.0 / math.log(1.0 + freq))
+            row = (
+                self._embeddings.index_of(word)
+                if self._embeddings is not None
+                else None
+            )
+            self._kw_row.append(-1 if row is None else row)
         return idx
 
     def _intern_venue(self, venue: str) -> int:
@@ -189,6 +293,31 @@ class BatchSimilarityEngine:
             freq = self._venue_frequencies.get(venue, 1)
             self._ven_weight.append(1.0 / math.log(1.0 + freq))
         return idx
+
+    def intern_triangle(self, clique: Hashable) -> int:
+        """Column id of a name-keyed co-author triangle."""
+        return self._tri.intern(clique)
+
+    def paper_slot(self, pid: int) -> int | None:
+        """Registry slot of ``pid``, or ``None`` if it is not registered."""
+        return self._paper_slot.get(pid)
+
+    def register_paper(
+        self, pid: int, words: Sequence[str], year: int, venue: str
+    ) -> int:
+        """Register one paper's keywords, year and venue; returns its slot.
+
+        Keywords and the venue are interned here, so callers register
+        papers in the order their words should first be seen.
+        """
+        slot = len(self._paper_slot)
+        self._paper_slot[pid] = slot
+        self._paper_kw.extend([self._intern_keyword(w) for w in words])
+        self._n_paper_kw += len(words)
+        self._paper_kw_ptr.append(self._n_paper_kw)
+        self._paper_year.append(year)
+        self._paper_venue.append(self._intern_venue(venue))
+        return slot
 
     def _kw_weights(self) -> np.ndarray:
         if self._kw_weight_arr.size != len(self._kw_weight):
@@ -203,113 +332,254 @@ class BatchSimilarityEngine:
         return self._ven_weight_arr
 
     # ------------------------------------------------------------------ #
-    # per-vertex array construction
+    # columnar construction
     # ------------------------------------------------------------------ #
-    def arrays_of(self, profile: VertexProfile) -> VertexArrays:
-        """The (cached) columnar arrays of ``profile``'s vertex."""
-        cached = self._arrays.get(profile.vid)
-        if cached is not None:
-            return cached
-        built = self._build(profile)
-        self._arrays[profile.vid] = built
-        return built
+    def _paper_columns(
+        self, n_papers: np.ndarray, slots: np.ndarray
+    ) -> _PaperColumns:
+        """Keyword, venue and centroid columns of a block of vertices.
 
-    def _build(self, profile: VertexProfile) -> VertexArrays:
-        kw_cols: list[int] = []
-        kw_counts: list[float] = []
-        kw_lo: list[float] = []
-        kw_hi: list[float] = []
-        for word, count in profile.keywords.items():
-            kw_cols.append(self._intern_keyword(word))
-            kw_counts.append(float(count))
-            lo, hi = profile.keyword_years[word]
-            kw_lo.append(lo + _YEAR_SHIFT)
-            kw_hi.append(hi + _YEAR_SHIFT)
-        kw_cols_a, kw_counts_a, kw_lo_a, kw_hi_a = _sorted_cols(
-            kw_cols, kw_counts, kw_lo, kw_hi
+        ``slots`` lists every vertex's registered papers, vertex-major and
+        in ascending paper id — the canonical order the scalar profile
+        walks, so counts, year windows, the representative-venue
+        tie-break and the centroid's row order all match it exactly.
+        """
+        n = n_papers.size
+        inc_vertex = np.repeat(np.arange(n, dtype=np.int64), n_papers)
+        kw_ptr_tab = self._paper_kw_ptr.array()
+        kw_tab = self._paper_kw.array()
+
+        # Keyword tokens, in (vertex, paper, title) order.
+        starts = kw_ptr_tab[slots]
+        lengths = kw_ptr_tab[slots + 1] - starts
+        n_tok = int(lengths.sum())
+        tok_base = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        tok_col = kw_tab[tok_base + np.arange(n_tok, dtype=np.int64)]
+        tok_vertex = np.repeat(inc_vertex, lengths)
+        tok_year = np.repeat(self._paper_year.array()[slots], lengths)
+        order, grp, kw_vertex, kw_cols = _grouped(
+            tok_vertex, tok_col, len(self._kw)
         )
+        kw_counts = np.diff(np.append(grp, n_tok)).astype(np.float64)
+        if n_tok:
+            years = tok_year[order].astype(np.float64)
+            lo = np.minimum.reduceat(years, grp) + _YEAR_SHIFT
+            hi = np.maximum.reduceat(years, grp) + _YEAR_SHIFT
+        else:
+            lo = hi = np.empty(0, dtype=np.float64)
         # Fuse the usage-year window into one complex layer (lo + i·hi): a
-        # single sparse multiply restricts both endpoints to a pair's shared
-        # keyword support at once.
-        kw_lohi_a = kw_lo_a + 1j * kw_hi_a
-
-        ven_cols: list[int] = []
-        ven_counts: list[float] = []
-        for venue, count in profile.venues.items():
-            ven_cols.append(self._intern_venue(venue))
-            ven_counts.append(float(count))
-        ven_cols_a, ven_counts_a = _sorted_cols(ven_cols, ven_counts)
-        top_col = (
-            self._intern_venue(profile.top_venue)
-            if profile.top_venue is not None
-            else -1
+        # single sparse multiply restricts both endpoints to a pair's
+        # shared keyword support at once.
+        kw_lohi = lo + 1j * hi
+        kw_norms = np.sqrt(
+            np.bincount(kw_vertex, weights=kw_counts * kw_counts, minlength=n)
         )
 
-        tri_cols_a = np.sort(
-            np.asarray(
-                [self._tri.intern(t) for t in profile.triangles], dtype=np.int64
+        # Venues: counts, and the representative venue — the most
+        # frequent one, ties to the venue seen first (Counter.most_common).
+        inc_ven = self._paper_venue.array()[slots]
+        ven_order, ven_grp, ven_vertex, ven_cols = _grouped(
+            inc_vertex, inc_ven, len(self._ven)
+        )
+        ven_counts = np.diff(np.append(ven_grp, inc_ven.size)).astype(
+            np.float64
+        )
+        top_cols = np.full(n, -1, dtype=np.int64)
+        if ven_cols.size:
+            best = np.lexsort((ven_order[ven_grp], -ven_counts, ven_vertex))
+            lead = best[_group_starts(ven_vertex[best])]
+            top_cols[ven_vertex[lead]] = ven_cols[lead]
+
+        centroids, cent_of, cent_norms = self._centroids(
+            n, kw_vertex, kw_cols, order[grp]
+        )
+        return _PaperColumns(
+            kw_ptr=_ptr(kw_vertex, n),
+            kw_cols=kw_cols,
+            kw_counts=kw_counts,
+            kw_lohi=kw_lohi,
+            kw_norms=kw_norms,
+            ven_ptr=_ptr(ven_vertex, n),
+            ven_cols=ven_cols,
+            ven_counts=ven_counts,
+            top_cols=top_cols,
+            centroids=centroids,
+            cent_of=cent_of,
+            cent_norms=cent_norms,
+        )
+
+    def _centroids(
+        self,
+        n: int,
+        kw_vertex: np.ndarray,
+        kw_cols: np.ndarray,
+        first_seen: np.ndarray,
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """γ3 centroids: mean embedding of each vertex's distinct keywords.
+
+        Bit-equal to ``WordEmbeddings.centroid``, i.e. ``ndarray.mean(axis=0)``
+        over the rows in first-occurrence order: rows are accumulated
+        position by position in that order (vertices sorted by word count,
+        so each step adds one row to a prefix of the block), then divided
+        by the count.  Norms go through the same per-vector ``dot`` as
+        ``np.linalg.norm``.
+        """
+        cent_of = np.full(n, -1, dtype=np.int64)
+        cent_norms = np.zeros(n, dtype=np.float64)
+        if self._embeddings is None or kw_cols.size == 0:
+            return None, cent_of, cent_norms
+        seen = np.argsort(first_seen, kind="stable")
+        rows = self._kw_row.array()[kw_cols[seen]]
+        known = rows >= 0
+        rows, owner = rows[known], kw_vertex[seen][known]
+        counts = np.bincount(owner, minlength=n)
+        has = np.flatnonzero(counts)
+        if has.size == 0:
+            return None, cent_of, cent_norms
+        ptr = _ptr(owner, n)
+        by_size = has[np.argsort(-counts[has], kind="stable")]
+        sizes = counts[by_size]
+        base = ptr[by_size]
+        matrix = self._embeddings.matrix
+        acc = matrix[rows[base]]
+        for j in range(1, int(sizes[0])):
+            k = int(np.count_nonzero(sizes > j))
+            acc[:k] += matrix[rows[base[:k] + j]]
+        acc /= sizes[:, None].astype(np.float64)
+        cent_of[by_size] = np.arange(by_size.size)
+        cent_norms[by_size] = [math.sqrt(row.dot(row)) for row in acc]
+        return acc, cent_of, cent_norms
+
+    def build(
+        self,
+        vids: Sequence[int],
+        n_papers: Sequence[int],
+        slots: Sequence[int],
+        wl: tuple[Sequence[int], Sequence[int], Sequence[int]],
+        tri: tuple[Sequence[int], Sequence[int]],
+    ) -> list[VertexArrays]:
+        """Columns of a block of vertices in one vectorised pass.
+
+        Args:
+            vids: The vertices, in the order their papers were registered.
+            n_papers: Paper count of each vertex.
+            slots: Registry slots of every vertex's papers, vertex-major,
+                ascending paper id within a vertex.
+            wl: ``(vertex index, WL column, count)`` entries, any order.
+            tri: ``(vertex index, triangle column)`` entries, any order.
+        """
+        n = len(vids)
+        counts = np.asarray(n_papers, dtype=np.int64)
+        papers = self._paper_columns(
+            counts, np.asarray(slots, dtype=np.int64)
+        )
+        wl_owner, wl_col, wl_count = (np.asarray(x, dtype=np.int64) for x in wl)
+        order = np.lexsort((wl_col, wl_owner))
+        wl_owner, wl_col = wl_owner[order], wl_col[order]
+        wl_count = wl_count[order].astype(np.float64)
+        wl_norms = np.sqrt(
+            np.bincount(wl_owner, weights=wl_count * wl_count, minlength=n)
+        )
+        tri_owner, tri_col = (np.asarray(x, dtype=np.int64) for x in tri)
+        order = np.lexsort((tri_col, tri_owner))
+        tri_owner, tri_col = tri_owner[order], tri_col[order]
+
+        kw_ptr = papers.kw_ptr.tolist()
+        ven_ptr = papers.ven_ptr.tolist()
+        wl_ptr = _ptr(wl_owner, n).tolist()
+        cent_slots = self._store_centroids(papers.centroids, papers.cent_of)
+        return [
+            VertexArrays(*fields)
+            for fields in zip(
+                vids,
+                counts.tolist(),
+                _split(papers.kw_cols, kw_ptr),
+                _split(papers.kw_counts, kw_ptr),
+                _split(papers.kw_lohi, kw_ptr),
+                papers.kw_norms.tolist(),
+                _split(papers.ven_cols, ven_ptr),
+                _split(papers.ven_counts, ven_ptr),
+                papers.top_cols.tolist(),
+                _split(tri_col, _ptr(tri_owner, n).tolist()),
+                _split(wl_col, wl_ptr),
+                _split(wl_count, wl_ptr),
+                wl_norms.tolist(),
+                papers.cent_norms.tolist(),
+                cent_slots.tolist(),
             )
+        ]
+
+    def refresh_papers(self, vid: int, slots: Sequence[int]) -> None:
+        """Recompute ``vid``'s paper-derived columns in place, if cached.
+
+        For an attached paper: adjacency did not change, so the WL and
+        triangle columns are kept; keywords, venues and the centroid are
+        rebuilt from ``slots`` (ascending paper id) exactly as
+        :meth:`build` would.
+        """
+        arrays = self._arrays.get(vid)
+        if arrays is None:
+            return
+        papers = self._paper_columns(
+            np.array([len(slots)], dtype=np.int64),
+            np.asarray(slots, dtype=np.int64),
+        )
+        if arrays.cent_slot >= 0:
+            self._cent_free.append(arrays.cent_slot)
+        arrays.n_papers = len(slots)
+        arrays.kw_cols = papers.kw_cols
+        arrays.kw_counts = papers.kw_counts
+        arrays.kw_lohi = papers.kw_lohi
+        arrays.kw_norm = float(papers.kw_norms[0])
+        arrays.ven_cols = papers.ven_cols
+        arrays.ven_counts = papers.ven_counts
+        arrays.top_venue_col = int(papers.top_cols[0])
+        arrays.centroid_norm = float(papers.cent_norms[0])
+        arrays.cent_slot = int(
+            self._store_centroids(papers.centroids, papers.cent_of)[0]
         )
 
-        wl_cols: list[int] = []
-        wl_counts: list[float] = []
-        for label, count in profile.wl_features.items():
-            wl_cols.append(self._wl.intern(label))
-            wl_counts.append(float(count))
-        wl_cols_a, wl_counts_a = _sorted_cols(wl_cols, wl_counts)
-
-        centroid = profile.centroid
-        return VertexArrays(
-            vid=profile.vid,
-            n_papers=profile.n_papers,
-            kw_cols=kw_cols_a,
-            kw_counts=kw_counts_a,
-            kw_lohi=kw_lohi_a,
-            kw_norm=float(np.sqrt(np.sum(kw_counts_a * kw_counts_a))),
-            ven_cols=ven_cols_a,
-            ven_counts=ven_counts_a,
-            top_venue_col=top_col,
-            tri_cols=tri_cols_a,
-            wl_cols=wl_cols_a,
-            wl_counts=wl_counts_a,
-            wl_norm=float(np.sqrt(np.sum(wl_counts_a * wl_counts_a))),
-            centroid=centroid,
-            centroid_norm=(
-                float(np.linalg.norm(centroid)) if centroid is not None else 0.0
-            ),
-            cent_slot=self._store_centroid(centroid),
-        )
-
-    def _store_centroid(self, centroid: np.ndarray | None) -> int:
-        """Copy ``centroid`` into the dense store; returns its slot (or -1)."""
-        if centroid is None:
-            return -1
+    def _store_centroids(
+        self, centroids: np.ndarray | None, cent_of: np.ndarray
+    ) -> np.ndarray:
+        """Copy centroid rows into the dense store; slot per vertex (or -1)."""
+        slots = np.full(cent_of.size, -1, dtype=np.int64)
+        if centroids is None:
+            return slots
         if self._cent_matrix is None:
             self._cent_matrix = np.zeros(
-                (64, centroid.shape[0]), dtype=np.float64
+                (64, centroids.shape[1]), dtype=np.float64
             )
-        if self._cent_free:
-            slot = self._cent_free.pop()
-        else:
-            slot = self._cent_used
-            self._cent_used += 1
-            if slot >= self._cent_matrix.shape[0]:
-                grown = np.zeros(
-                    (2 * self._cent_matrix.shape[0], self._cent_matrix.shape[1]),
-                    dtype=np.float64,
-                )
-                grown[: self._cent_matrix.shape[0]] = self._cent_matrix
-                self._cent_matrix = grown
-        self._cent_matrix[slot] = centroid
-        return slot
+        n_new = centroids.shape[0]
+        reuse = min(n_new, len(self._cent_free))
+        taken = [self._cent_free.pop() for _ in range(reuse)]
+        fresh = np.arange(self._cent_used, self._cent_used + n_new - reuse)
+        self._cent_used += n_new - reuse
+        if self._cent_used > self._cent_matrix.shape[0]:
+            grown = np.zeros(
+                (
+                    max(self._cent_used, 2 * self._cent_matrix.shape[0]),
+                    self._cent_matrix.shape[1],
+                ),
+                dtype=np.float64,
+            )
+            grown[: self._cent_matrix.shape[0]] = self._cent_matrix
+            self._cent_matrix = grown
+        row_slots = np.concatenate(
+            [np.asarray(taken, dtype=np.int64), fresh.astype(np.int64)]
+        )
+        self._cent_matrix[row_slots] = centroids
+        has = cent_of >= 0
+        slots[has] = row_slots[cent_of[has]]
+        return slots
 
-    # ------------------------------------------------------------------ #
+# ------------------------------------------------------------------ #
     # batched γ evaluation
     # ------------------------------------------------------------------ #
     def gamma_matrix(
         self,
         pairs: Sequence[Pair],
-        profile_of: Callable[[int], VertexProfile],
+        build_missing: Callable[[list[int]], list[VertexArrays]],
         alpha: float,
         transient: frozenset[int] = frozenset(),
         out: np.ndarray | None = None,
@@ -318,8 +588,9 @@ class BatchSimilarityEngine:
 
         Args:
             pairs: Vertex-id pairs to score.
-            profile_of: Profile accessor (normally the owning computer's
-                cached ``profile`` method).
+            build_missing: Builds the columns of the given cache-missing
+                vertices (ascending vid) in one pass — normally the owning
+                computer's columnar builder around :meth:`build`.
             alpha: Decay α of the time-consistency similarity (Eq. 7).
             transient: Vertex ids scored *once and discarded*: their
                 columnar arrays are built for this call but never enter
@@ -347,17 +618,17 @@ class BatchSimilarityEngine:
         pairs_arr = np.asarray(pairs, dtype=np.int64).reshape(n, 2)
         vids = np.unique(pairs_arr)
         cached = self._arrays.get
-        rows: list[VertexArrays] = []
+        rows: list[VertexArrays | None] = [cached(vid) for vid in vids.tolist()]
+        missing = [i for i, arrays in enumerate(rows) if arrays is None]
         borrowed: list[VertexArrays] = []
-        for vid in vids.tolist():
-            arrays = cached(vid)
-            if arrays is None:
-                if vid in transient:
-                    arrays = self._build(profile_of(vid))
+        if missing:
+            built = build_missing([int(vids[i]) for i in missing])
+            for i, arrays in zip(missing, built):
+                rows[i] = arrays
+                if arrays.vid in transient:
                     borrowed.append(arrays)
                 else:
-                    arrays = self.arrays_of(profile_of(vid))
-            rows.append(arrays)
+                    self._arrays[arrays.vid] = arrays
         us = np.searchsorted(vids, pairs_arr[:, 0])
         vs = np.searchsorted(vids, pairs_arr[:, 1])
 
@@ -464,7 +735,7 @@ class BatchSimilarityEngine:
         (wl,) = self._family(
             [a.wl_cols for a in rows],
             [[a.wl_counts for a in rows]],
-            len(self._wl),
+            len(self.wl_labels),
         )
         dots = self._row_sums(wl[us].multiply(wl[vs]), len(us))
         denom = wl_norms[us] * wl_norms[vs]

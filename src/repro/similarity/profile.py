@@ -19,26 +19,28 @@ per-occurrence mention model are exactly the papers of the mentions the
 vertex owns — one occurrence per paper, so a homonym paper contributes its
 title/venue/year evidence to *both* co-author vertices, once each.
 
-A :class:`VertexProfile` caches everything a vertex contributes to those
-functions (keywords, venues, years, triangles, WL features), so that the
-O(candidate pairs) scoring loop never re-derives per-vertex state.
-
-Scoring itself has two paths sharing those cached profiles:
+Scoring has two paths:
 
 * :meth:`SimilarityComputer.similarity_vector` — the scalar reference path,
-  one pair at a time through the per-function modules above;
-* :meth:`SimilarityComputer.pair_matrix` — the batched path, which mirrors
-  profiles into the columnar store of :mod:`.batch` and evaluates all six
-  γ's for a whole pair list with vectorised sparse kernels.  Small pair
+  one pair at a time through the per-function modules above, reading a
+  cached :class:`VertexProfile` per vertex (keywords, venues, years,
+  triangles, WL features);
+* :meth:`SimilarityComputer.pair_matrix` — the batched path, which builds
+  the columns of every cache-missing vertex of a call in one vectorised
+  pass (:meth:`SimilarityComputer._build_columns` gathers papers, WL
+  labels and triangles; :meth:`.batch.BatchSimilarityEngine.build` reduces
+  them) and evaluates all six γ's for a whole pair list with vectorised
+  sparse kernels.  It never builds a :class:`VertexProfile`.  Small pair
   lists (below ``batch_threshold``) stay on the scalar path, where the
   fixed cost of assembling sparse operands is not worth paying.
 
-Cache invalidation: profiles depend on the vertex's own papers *and* on
-its radius-``wl_iterations`` neighbourhood (WL features span that ball;
-triangles span 1 hop).  :meth:`SimilarityComputer.invalidate` therefore
-drops the whole BFS ball around a touched vertex, and
-:meth:`SimilarityComputer.rebind` retargets the computer at a merged
-network while keeping every profile not reachable from a touched vertex.
+Cache invalidation: profiles and columns depend on the vertex's own
+papers *and* on its radius-``wl_iterations`` neighbourhood (WL features
+span that ball; triangles span 1 hop).  :meth:`SimilarityComputer.invalidate`
+therefore drops both caches over the whole BFS ball around a touched
+vertex, and :meth:`SimilarityComputer.rebind` retargets the computer at a
+merged network while keeping every profile and column entry not reachable
+from a touched vertex.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from ..graphs.triangles import coauthor_triangle_names
 from ..graphs.wl import multi_source_ball, wl_feature_map
 from ..text.embeddings import WordEmbeddings, cosine
 from ..text.tokenize import corpus_word_frequencies, extract_keywords
-from .batch import BatchSimilarityEngine
+from .batch import BatchSimilarityEngine, VertexArrays
 from .community import representative_community_similarity, research_community_similarity
 from .interests import interest_cosine, time_consistency
 from .structural import clique_coincidence
@@ -146,7 +148,7 @@ class SimilarityComputer:
         # a measurable slice of profile construction on hot paths.
         self._paper_keywords: dict[int, tuple[str, ...]] = {}
         self._engine = BatchSimilarityEngine(
-            self.word_frequencies, self.venue_frequencies
+            self.word_frequencies, self.venue_frequencies, embeddings
         )
 
     # ------------------------------------------------------------------ #
@@ -160,8 +162,9 @@ class SimilarityComputer:
         return profile
 
     def is_cached(self, vid: int) -> bool:
-        """Whether ``vid``'s profile is currently cached (for tests/tools)."""
-        return vid in self._profiles
+        """Whether ``vid`` has a cached profile or cached columns (for
+        tests/tools); the batched path caches only columns."""
+        return vid in self._profiles or vid in self._engine
 
     def _drop(self, vid: int) -> None:
         self._profiles.pop(vid, None)
@@ -212,52 +215,27 @@ class SimilarityComputer:
             self._drop(vid)
 
     def attach_paper(self, vid: int, pid: int) -> None:
-        """Fold one newly attributed paper into ``vid``'s cached profile.
+        """Fold one newly attributed paper into ``vid``'s cached state.
 
         The incremental path's attach operation changes no adjacency, so
-        the expensive profile ingredients — WL features and triangles —
-        are reusable verbatim; only the keyword/venue/year state moves.
+        the expensive ingredients — WL features and triangles — are
+        reusable verbatim, in the cached profile and in the cached
+        columns alike; only the keyword/venue/year/centroid state moves.
         Updating in place instead of dropping saves a full rebuild per
         later read of the vertex, the dominant cost of streaming into
-        hot name blocks.  The engine's columnar mirror is still dropped
-        (it is derived from the profile and rebuilt on demand).
+        hot name blocks.
 
-        Equivalence: the updated profile matches a from-scratch rebuild
-        up to dict insertion order (float-noise class, same as the
-        batch-vs-scalar contract), except ``top_venue``, whose
-        ``most_common`` tie-break *depends* on insertion order — venues
-        are therefore re-derived in the canonical sorted-paper order a
-        rebuild would use.
+        The moved state is re-derived in the canonical ascending-paper-id
+        order a from-scratch build uses, whatever ``pid`` is, so the
+        updated profile and columns are bit-identical to a rebuild: γ
+        after the attach equals what a fresh computer (a resumed
+        process) computes on the same network.
         """
         profile = self._profiles.get(vid)
-        self._engine.invalidate(vid)
-        if profile is None:
-            return  # nothing cached; the next read rebuilds from scratch
-        vertex = self.net.vertex(vid)
-        paper = self.corpus[pid]
-        profile.n_papers = len(vertex.papers)
-        words = self._paper_keywords.get(pid)
-        if words is None:
-            words = tuple(
-                extract_keywords(paper.title, self.frequent_keywords)
-            )
-            self._paper_keywords[pid] = words
-        for word in words:
-            profile.keywords[word] += 1
-            lo, hi = profile.keyword_years.get(word, (paper.year, paper.year))
-            profile.keyword_years[word] = (
-                min(lo, paper.year), max(hi, paper.year)
-            )
-        venues: Counter[str] = Counter()
-        for p in sorted(vertex.papers):
-            venues[self.corpus[p].venue] += 1
-        profile.venues = venues
-        profile.top_venue = venues.most_common(1)[0][0] if venues else None
-        profile.centroid = (
-            self.embeddings.centroid(profile.keywords)
-            if self.embeddings
-            else None
-        )
+        if profile is not None:
+            self._fill_papers(profile)
+        if vid in self._engine:
+            self._engine.refresh_papers(vid, self._paper_slots(vid))
 
     def rebind(
         self,
@@ -270,20 +248,51 @@ class SimilarityComputer:
         (built with ``preserve_ids=True`` so surviving vertices keep their
         ids), and ``touched`` names the vertices whose neighbourhood
         changed — merge representatives, endpoints of recovered edges.
-        Profiles of vertices that no longer exist are dropped, as is the
-        BFS ball (radius ``max(1, wl_iterations)``) around every touched
-        vertex; everything else persists, including the engine's interned
-        feature columns.
+        Profiles and columns of vertices that no longer exist are dropped
+        (a merge can lower the next vid, so a later vertex may reuse the
+        id), as is the BFS ball (radius ``max(1, wl_iterations)``) around
+        every touched vertex; everything else persists, including the
+        engine's interned feature columns.
         """
         self.net = net
-        for vid in [v for v in self._profiles if v not in net]:
+        cached = set(self._profiles).union(self._engine.cached_vids())
+        for vid in [v for v in cached if v not in net]:
             self._drop(vid)
         # Touched sets can cover much of the network (e.g. relation
         # recovery), so their balls are unioned in one BFS.
         self.invalidate_many(touched)
 
+    def _keywords_of(self, pid: int) -> tuple[str, ...]:
+        words = self._paper_keywords.get(pid)
+        if words is None:
+            words = tuple(
+                extract_keywords(self.corpus[pid].title, self.frequent_keywords)
+            )
+            self._paper_keywords[pid] = words
+        return words
+
     def _build_profile(self, vid: int) -> VertexProfile:
         vertex = self.net.vertex(vid)
+        profile = VertexProfile(
+            vid=vid,
+            name=vertex.name,
+            n_papers=0,
+            keywords=Counter(),
+            keyword_years={},
+            centroid=None,
+            venues=Counter(),
+            top_venue=None,
+            triangles=frozenset(coauthor_triangle_names(self.net, vid)),
+            wl_features=wl_feature_map(
+                self.net, vid, self.wl_iterations, self._engine.wl_labels
+            ),
+        )
+        self._fill_papers(profile)
+        return profile
+
+    def _fill_papers(self, profile: VertexProfile) -> None:
+        """(Re)derive ``profile``'s paper state from the vertex's papers."""
+        vertex = self.net.vertex(profile.vid)
         keywords: Counter[str] = Counter()
         keyword_years: dict[str, tuple[int, int]] = {}
         venues: Counter[str] = Counter()
@@ -296,30 +305,73 @@ class SimilarityComputer:
         for pid in sorted(vertex.papers):
             paper = self.corpus[pid]
             venues[paper.venue] += 1
-            words = self._paper_keywords.get(pid)
-            if words is None:
-                words = tuple(
-                    extract_keywords(paper.title, self.frequent_keywords)
-                )
-                self._paper_keywords[pid] = words
-            for word in words:
+            for word in self._keywords_of(pid):
                 keywords[word] += 1
                 lo, hi = keyword_years.get(word, (paper.year, paper.year))
                 keyword_years[word] = (min(lo, paper.year), max(hi, paper.year))
-        centroid = (
+        profile.n_papers = len(vertex.papers)
+        profile.keywords = keywords
+        profile.keyword_years = keyword_years
+        profile.venues = venues
+        profile.top_venue = venues.most_common(1)[0][0] if venues else None
+        profile.centroid = (
             self.embeddings.centroid(keywords) if self.embeddings else None
         )
-        return VertexProfile(
-            vid=vid,
-            name=vertex.name,
-            n_papers=len(vertex.papers),
-            keywords=keywords,
-            keyword_years=keyword_years,
-            centroid=centroid,
-            venues=venues,
-            top_venue=venues.most_common(1)[0][0] if venues else None,
-            triangles=frozenset(coauthor_triangle_names(self.net, vid)),
-            wl_features=wl_feature_map(self.net, vid, self.wl_iterations),
+
+    def _paper_slots(self, vid: int) -> list[int]:
+        """Registry slots of ``vid``'s papers in ascending paper id,
+        registering papers the engine has not seen yet."""
+        slot_of = self._engine.paper_slot
+        slots: list[int] = []
+        for pid in sorted(self.net.vertex(vid).papers):
+            slot = slot_of(pid)
+            if slot is None:
+                paper = self.corpus[pid]
+                slot = self._engine.register_paper(
+                    pid, self._keywords_of(pid), paper.year, paper.venue
+                )
+            slots.append(slot)
+        return slots
+
+    def _build_columns(self, vids: list[int]) -> list[VertexArrays]:
+        """Columns of the given vertices in one engine pass.
+
+        Papers are registered vertex by vertex in ascending vid and paper
+        id, so keywords and venues are interned in the same first-seen
+        order a profile-by-profile build would use.  WL labels and
+        triangles are gathered per vertex, straight into column ids.
+        """
+        net = self.net
+        engine = self._engine
+        n_papers: list[int] = []
+        slots: list[int] = []
+        wl_owner: list[int] = []
+        wl_cols: list[int] = []
+        wl_counts: list[int] = []
+        tri_owner: list[int] = []
+        tri_cols: list[int] = []
+        for i, vid in enumerate(vids):
+            vertex_slots = self._paper_slots(vid)
+            n_papers.append(len(vertex_slots))
+            slots.extend(vertex_slots)
+            features = wl_feature_map(
+                net, vid, self.wl_iterations, engine.wl_labels
+            )
+            wl_owner.extend([i] * len(features))
+            wl_cols.extend(features.keys())
+            wl_counts.extend(features.values())
+            triangles = [
+                engine.intern_triangle(t)
+                for t in coauthor_triangle_names(net, vid)
+            ]
+            tri_owner.extend([i] * len(triangles))
+            tri_cols.extend(triangles)
+        return engine.build(
+            vids,
+            n_papers,
+            slots,
+            (wl_owner, wl_cols, wl_counts),
+            (tri_owner, tri_cols),
         )
 
     # ------------------------------------------------------------------ #
@@ -413,7 +465,11 @@ class SimilarityComputer:
     ) -> np.ndarray:
         """Vectorised path: all six γ's over the whole list at once."""
         gammas = self._engine.gamma_matrix(
-            pairs, self.profile, self.decay_alpha, transient=transient, out=out
+            pairs,
+            self._build_columns,
+            self.decay_alpha,
+            transient=transient,
+            out=out,
         )
         for vid in transient:
             self._profiles.pop(vid, None)

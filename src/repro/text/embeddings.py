@@ -50,6 +50,15 @@ class WordEmbeddings:
         """Unit-norm vector of ``word`` (KeyError if OOV)."""
         return self._matrix[self._index[word]]
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The unit-norm vectors, one row per vocabulary word."""
+        return self._matrix
+
+    def index_of(self, word: str) -> int | None:
+        """Row of ``word`` in :attr:`matrix`, or ``None`` if OOV."""
+        return self._index.get(word)
+
     def get(self, word: str) -> np.ndarray | None:
         """Unit-norm vector of ``word`` or ``None`` if out of vocabulary."""
         idx = self._index.get(word)

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import IUAD, IUADConfig, StreamingIngestor
 from repro.core.candidates import candidate_pairs_of_name
+from repro.data import build_testing_dataset
 from repro.data.records import Corpus, Paper
-from repro.graphs import build_scn
+from repro.data.testing import split_for_incremental
+from repro.graphs import UnionFind, build_scn
 from repro.graphs.collab import CollaborationNetwork
 from repro.similarity import SimilarityComputer
 from repro.text.embeddings import train_title_embeddings
@@ -145,8 +148,10 @@ class TestEngineCache:
         pairs = _all_pairs(net)[:20]
         before = computer.pair_matrix_batched(pairs)
         vid = pairs[0][0]
+        # The batched path caches columns only; is_cached covers both.
         assert computer.is_cached(vid)
         assert vid in computer._engine
+        assert vid not in computer._profiles
         computer.invalidate(vid)
         assert not computer.is_cached(vid)
         assert vid not in computer._engine
@@ -216,7 +221,7 @@ class TestEngineCache:
         computer.invalidate_exact([u0, v0])
         assert not computer.is_cached(u0) and not computer.is_cached(v0)
         assert u0 not in computer._engine and v0 not in computer._engine
-        assert any(computer.is_cached(v) for v in others)
+        assert any(v in computer._engine for v in others)
 
 
 class TestAttachPaper:
@@ -272,3 +277,179 @@ class TestAttachPaper:
         profile = computer.profile(target)
         assert new_pid in net.papers_of(target)
         assert profile.n_papers == len(net.papers_of(target))
+
+
+def _cached_vids(computer):
+    return set(computer._profiles) | set(computer._engine.cached_vids())
+
+
+def _assert_resident(computer):
+    stale = sorted(v for v in _cached_vids(computer) if v not in computer.net)
+    assert not stale, f"caches hold vertices no longer in the network: {stale}"
+
+
+class TestCacheResidency:
+    """Every cached profile or column entry belongs to a live vertex —
+    the batched path fills only the column cache, so sweeping the
+    profile cache alone would leave dead columns behind."""
+
+    @pytest.fixture(scope="class")
+    def fitted_and_burst(self, small_corpus):
+        td = build_testing_dataset(small_corpus, n_names=12)
+        _base, new_pids = split_for_incremental(td, 40)
+        held_out = set(new_pids)
+        base = Corpus(p for p in small_corpus if p.pid not in held_out)
+        # δ = 0 so merges happen and absorbed vertices leave the network.
+        config = IUADConfig(delta=0.0, later_delta=0.0, merge_rounds=2)
+        iuad = IUAD(config).fit(base, names=td.names)
+        return iuad, [small_corpus[pid] for pid in new_pids]
+
+    def test_after_fit_rebind_and_burst(self, fitted_and_burst):
+        import copy
+
+        fitted, burst = fitted_and_burst
+        iuad = copy.deepcopy(fitted)
+        computer = iuad.computer_
+        assert iuad.report_.n_merges > 0
+        assert computer.net is iuad.gcn_
+        assert _cached_vids(computer)
+        _assert_resident(computer)
+
+        # An explicit merge round: score everything, merge one same-name
+        # pair, rebind.  The absorbed vertex's columns must go.
+        gcn = iuad.gcn_
+        pairs = _all_pairs(gcn)
+        computer.pair_matrix_batched(pairs)
+        keep, absorbed = pairs[0]
+        union = UnionFind(v.vid for v in gcn)
+        assert union.union(keep, absorbed) == keep
+        merged = gcn.merged(union, preserve_ids=True)
+        assert absorbed in computer._engine
+        computer.rebind(merged, touched=[keep])
+        assert absorbed not in merged
+        _assert_resident(computer)
+
+        iuad.gcn_ = merged
+        ingestor = StreamingIngestor(iuad)
+        ingestor.add_papers(burst)
+        assert computer.net is iuad.gcn_
+        _assert_resident(computer)
+
+    def test_reissued_vid_is_scored_fresh(self, small_corpus, embeddings):
+        """A merge can lower the network's next vid, so a later vertex
+        may reuse the id of an absorbed one whose columns were cached."""
+        corpus = Corpus(
+            [
+                Paper(0, ("A A", "B B"), "query index join", "V1", 2001),
+                Paper(1, ("A A", "B B"), "query index store", "V1", 2002),
+                Paper(2, ("A A", "C C"), "graph mining pattern", "V2", 2010),
+                Paper(3, ("A A", "C C"), "graph pattern search", "V2", 2011),
+                Paper(4, ("A A", "D D"), "image object tracking", "V3", 2020),
+            ]
+        )
+        net = CollaborationNetwork()
+        a1 = net.add_vertex("A A", mentions=((0, 0), (1, 0)))
+        b = net.add_vertex("B B", mentions=((0, 1), (1, 1)))
+        c = net.add_vertex("C C", mentions=((2, 1), (3, 1)))
+        a2 = net.add_vertex("A A", mentions=((2, 0), (3, 0)))
+        net.add_edge(a1, b, (0, 1))
+        net.add_edge(a2, c, (2, 3))
+        computer = SimilarityComputer(net, corpus, embeddings=embeddings)
+        computer.pair_matrix_batched([(a1, a2)])
+        assert a2 in computer._engine
+
+        union = UnionFind(v.vid for v in net)
+        union.union(a1, a2)
+        merged = net.merged(union, preserve_ids=True)
+        computer.rebind(merged, touched=[a1])
+        reissued = merged.add_vertex("A A", mentions=((4, 0),))
+        assert reissued == a2, "the merge did not lower the next vid"
+        d = merged.add_vertex("D D", mentions=((4, 1),))
+        merged.add_edge(reissued, d, (4,))
+
+        pairs = [(a1, reissued), (reissued, a1), (reissued, reissued)]
+        fresh = SimilarityComputer(
+            merged,
+            corpus,
+            embeddings=embeddings,
+            word_frequencies=computer.word_frequencies,
+            venue_frequencies=computer.venue_frequencies,
+        )
+        np.testing.assert_array_equal(
+            computer.pair_matrix_batched(pairs),
+            fresh.pair_matrix_batched(pairs),
+        )
+        np.testing.assert_array_equal(
+            computer.pair_matrix_perpair(pairs),
+            fresh.pair_matrix_perpair(pairs),
+        )
+
+
+class TestAttachOutOfOrder:
+    def test_live_gamma_equals_fresh_computer(self, small_corpus, embeddings):
+        """Attaching a paper whose id is *not* the vertex's largest must
+        leave the live γ byte-equal to a fresh computer on the same
+        network — what a resumed process computes — on both paths."""
+        hole = sorted(p.pid for p in small_corpus)[len(small_corpus) // 2]
+        corpus = Corpus(p for p in small_corpus if p.pid != hole)
+        net, _ = build_scn(corpus, eta=2)
+        live = SimilarityComputer(net, corpus, embeddings=embeddings)
+        pairs = _all_pairs(net)
+        live.pair_matrix_batched(pairs)  # cache every scored vertex's columns
+
+        # The attached paper reuses the words and venue of a paper of the
+        # first vertex the engine registers, so both computers intern
+        # every column in the same order and equality can be exact.  Its
+        # words are new to the target and land mid-way through the
+        # target's papers, so appending them would reorder the centroid.
+        first = min(v for pair in pairs for v in pair)
+        donor = corpus[min(net.papers_of(first))]
+        donor_words = set(donor.title.split())
+        target = next(
+            vid
+            for vid in sorted({v for pair in pairs for v in pair})
+            if vid != first
+            and net.papers_of(vid)
+            and min(net.papers_of(vid)) < hole < max(net.papers_of(vid))
+            and len(donor_words - set(live.profile(vid).keywords)) >= 3
+        )
+        target_pairs = [pair for pair in pairs if target in pair]
+        live.pair_matrix_perpair(target_pairs)  # cache the scalar profile
+        assert target in live._profiles and target in live._engine
+
+        corpus.add(
+            Paper(hole, (net.name_of(target),), donor.title, donor.venue, 2021)
+        )
+        net.add_mention(target, hole, 0)
+        live.attach_paper(target, hole)
+
+        fresh = SimilarityComputer(
+            net,
+            corpus,
+            embeddings=embeddings,
+            word_frequencies=live.word_frequencies,
+            venue_frequencies=live.venue_frequencies,
+        )
+        np.testing.assert_array_equal(
+            live.pair_matrix_batched(pairs), fresh.pair_matrix_batched(pairs)
+        )
+        np.testing.assert_array_equal(
+            live.pair_matrix_perpair(target_pairs),
+            fresh.pair_matrix_perpair(target_pairs),
+        )
+        # The state itself, not only γ: a centroid summed in another row
+        # order is off by ~1e-18, which γ3's rounding can hide.
+        np.testing.assert_array_equal(
+            live.profile(target).centroid, fresh.profile(target).centroid
+        )
+        ours, theirs = live._engine, fresh._engine
+        a, b = ours._arrays[target], theirs._arrays[target]
+        columns = ("kw_cols", "kw_counts", "kw_lohi", "ven_cols", "ven_counts")
+        for field in columns:
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        assert (a.n_papers, a.kw_norm, a.top_venue_col, a.centroid_norm) == (
+            b.n_papers, b.kw_norm, b.top_venue_col, b.centroid_norm
+        )
+        np.testing.assert_array_equal(
+            ours._cent_matrix[a.cent_slot], theirs._cent_matrix[b.cent_slot]
+        )

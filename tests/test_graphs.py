@@ -338,3 +338,46 @@ class TestWLKernel:
         net = triangle_net()
         with pytest.raises(ValueError):
             wl_feature_map(net, 0, h=-1)
+
+    def test_separator_characters_do_not_collide(self):
+        """A co-author named ``a,b`` is not the two co-authors ``a`` and
+        ``b``: joined string signatures gave both anchors the iteration-1
+        label ``x|a,b``."""
+        net = CollaborationNetwork()
+        x1 = net.add_vertex("x")
+        x2 = net.add_vertex("x")
+        net.add_edge(x1, net.add_vertex("a,b"), {0})
+        net.add_edge(x2, net.add_vertex("a"), {1})
+        net.add_edge(x2, net.add_vertex("b"), {1})
+        phi1 = wl_feature_map(net, x1, h=1)
+        phi2 = wl_feature_map(net, x2, h=1)
+        assert not phi1.keys() & phi2.keys()
+        assert wl_similarity(net, x1, x2, h=1) == 0.0
+        # ... and a name holding the old label separator is no neighbour list
+        net = CollaborationNetwork()
+        y1 = net.add_vertex("y")
+        y2 = net.add_vertex("y|p")
+        net.add_edge(y1, net.add_vertex("p"), {0})
+        net.add_edge(y2, net.add_vertex("q"), {1})
+        labels1 = set(wl_feature_map(net, y1, h=1))
+        labels2 = set(wl_feature_map(net, y2, h=1))
+        assert not labels1 & labels2
+
+    def test_interned_labels_match_structured(self):
+        """Compressing labels through a shared interner changes the keys,
+        never the kernel."""
+        net = triangle_net()
+        e = net.add_vertex("a")
+        net.add_edge(e, net.add_vertex("b"), {2})
+        interner: dict = {}
+        for h in (0, 1, 2, 3):
+            plain = {v.vid: wl_feature_map(net, v.vid, h) for v in net}
+            packed = {
+                v.vid: wl_feature_map(net, v.vid, h, interner) for v in net
+            }
+            for u in plain:
+                assert sorted(packed[u].values()) == sorted(plain[u].values())
+                for v in plain:
+                    assert normalized_wl_kernel(
+                        packed[u], packed[v]
+                    ) == normalized_wl_kernel(plain[u], plain[v])
