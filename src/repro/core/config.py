@@ -59,11 +59,12 @@ class IUADConfig:
         em_tolerance: EM convergence tolerance on the log-likelihood.
         seed: Seed for candidate sampling and vertex splitting.
         n_workers: Worker processes of a sharded fit
-            (:class:`repro.core.sharding.ShardedIUAD`).  ``0`` fits the
-            shards serially in-process (still sharded — same partition,
-            same merge, no pool); ``>= 1`` fits them in a
-            ``ProcessPoolExecutor`` of that size.  Ignored by the
-            single-process :meth:`IUAD.fit`.
+            (:class:`repro.core.sharding.ShardedIUAD`).  ``>= 1`` runs
+            its pipelined schedule in a ``ProcessPoolExecutor`` of that
+            size; ``0`` runs the same schedule through an in-process
+            executor that completes each task at submission (same
+            partition, same tasks, same merge — no pool, no shared
+            memory).  Ignored by the single-process :meth:`IUAD.fit`.
         max_shard_size: Work budget of one shard, measured in candidate
             pairs.  Name blocks (connected components of the co-author
             name graph) are packed into shards up to this budget;

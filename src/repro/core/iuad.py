@@ -232,8 +232,10 @@ class FitReport:
     The pipeline block describes the sharded executor's overlapped
     schedule: ``pipeline_seconds`` spans first task submission to last
     decision result; ``gamma_wall_seconds`` / ``split_wall_seconds`` /
-    ``decide_wall_seconds`` are parent-observed phase walls (on a pool
-    they overlap each other and ``em_seconds`` — that is the point);
+    ``decide_wall_seconds`` are parent-observed phase walls, each from
+    the first submission of its kind of task to the completion of the
+    last one (on a pool they overlap each other and ``em_seconds`` —
+    that is the point; with ``n_workers=0`` they tile the pipeline);
     ``overlap_seconds`` is the wall-clock saved versus running
     γ → EM → decisions as sequential barriers, with
     ``overlap_gamma_chunks`` counting the γ chunks that completed under

@@ -10,7 +10,11 @@ and stitched back into one global collaboration network.  This is the
 "sharding" leg of the ROADMAP's production-scale north star and the
 foundation for multi-machine scale-out.
 
-Execution plan of :class:`ShardedIUAD.fit` (serial or process-pool):
+Execution plan of :class:`ShardedIUAD.fit`.  One scheduler drives it:
+``config.n_workers >= 1`` submits the tasks to a process pool,
+``n_workers == 0`` submits the *same* tasks in the same order to an
+in-process executor that runs each one at submission (phases then
+simply follow one another):
 
 1. **Global Stage 1 + text models** (serial): the SCN, the title
    embeddings and the corpus frequency tables are built exactly as in the
@@ -29,8 +33,8 @@ Execution plan of :class:`ShardedIUAD.fit` (serial or process-pool):
    ``(n_pairs, 6)`` result buffer in canonical ``scn.names`` order and
    chunked by **candidate-pair count** (``config.gamma_chunk_pairs``,
    independent of both shard and worker count, so a fat shard never
-   serialises the phase and serial/pool runs fill byte-identical
-   buffers); each worker writes its chunk's rows straight into a
+   serialises the phase and in-process/pool runs fill byte-identical
+   buffers); each pool worker writes its chunk's rows straight into a
    :mod:`multiprocessing.shared_memory` block instead of pickling γ
    matrices back.  Split-balance matched pairs (the densest per-vertex
    work of model learning) are scored by the pool too, in small chunks
@@ -46,12 +50,13 @@ Execution plan of :class:`ShardedIUAD.fit` (serial or process-pool):
    broadcast once through a shared-memory blob (workers deserialise and
    cache it process-locally); each shard's decision task is dispatched
    the moment its γ rows are complete — shards whose chunks finished
-   before the model simply go first.  Tasks carry only name lists, vid
-   tuples and ``(offset, count)`` row spans; the worker re-reads its γ
-   rows from shared memory, scores them against the cached model, cuts
-   its block (plus a radius-``max(1, wl_iterations)`` profile halo,
-   needed only when ``merge_rounds > 1`` re-scores) out of its
-   process-local SCN, runs the shared
+   before the model simply go first.  (In-process runs hand the tasks
+   the live model and plain arrays; nothing else changes.)  Tasks carry
+   only name lists, vid tuples and ``(offset, count)`` row spans; the
+   worker re-reads its γ rows from shared memory, scores them against
+   the cached model, cuts its block (plus a profile halo of radius
+   ``max(1, wl_iterations)``, needed only when ``merge_rounds > 1``
+   re-scores) out of its process-local SCN, runs the shared
    :func:`~repro.core.iuad.run_merge_rounds` decision loop, merges its
    components under the cannot-link constraints, drops the halo and
    ships back its fitted block network.
@@ -76,7 +81,7 @@ Exactness: with ``merge_rounds == 1`` (the paper's Algorithm 1) the
 sharded fit produces mention clusterings *identical* to the whole-corpus
 fit — names cannot influence each other within a round, and profiles are
 computed on the full network (``tests/test_sharding_parity.py`` pins
-this, serially and under a process pool; profile construction iterates
+this, in-process and under a process pool; profile construction iterates
 papers in canonical order so results survive the pickling of networks,
 see ``SimilarityComputer._build_profile``).  With more rounds, exactness
 additionally requires blocks to stay whole (``max_shard_size = 0``):
@@ -95,7 +100,9 @@ import multiprocessing
 import pickle
 import time
 from bisect import bisect_right
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures import (
+    Executor, Future, ProcessPoolExecutor, as_completed,
+)
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Iterable, Mapping
@@ -414,14 +421,13 @@ def plan_shards(
 # --------------------------------------------------------------------- #
 @dataclass(slots=True)
 class _ArrayRef:
-    """Reference to a ``(rows, 6)`` float64 result buffer workers fill.
+    """Reference to a ``(rows, 6)`` float64 result buffer tasks fill.
 
     Pool runs back the buffer with a :mod:`multiprocessing.shared_memory`
-    segment (``shm_name``): γ chunks are *written in place* by workers
-    and never round-trip through pickle.  The serial in-process path
-    (and the zero-row degenerate case) holds a plain array directly in
-    ``array`` instead of allocating an OS segment.  The split-balance
-    buffer travels the same way.
+    segment (``shm_name``): γ and split chunks are *written in place* by
+    workers and never round-trip through pickle.  In-process runs
+    (``n_workers == 0``) and zero-row buffers hold a plain array in
+    ``array`` instead of allocating an OS segment.
     """
 
     rows: int
@@ -436,8 +442,8 @@ class _ModelRef:
     Pool runs pickle the model *once* into a shared-memory blob; every
     worker deserialises it on first use and caches it process-locally
     (:data:`_MODEL_CACHE`), so each decision task carries a tiny segment
-    name instead of its own model copy.  The serial path carries the
-    live object in ``model``.
+    name instead of its own model copy.  In-process runs
+    (``n_workers == 0``) carry the live object in ``model``.
     """
 
     shm_name: str | None = None
@@ -522,8 +528,10 @@ class _WorkerContext:
         )
 
 
-#: Per-process context, set by :func:`_init_worker` (pool) or directly by
-#: the serial in-process path.
+#: Per-process context, installed by :meth:`ShardedIUAD._run` in the
+#: parent (read by in-process tasks and inherited by fork workers) and by
+#: :func:`_boot_pool_worker` in spawn workers; ``fit`` restores the
+#: previous value on every exit, raising or not.
 _CTX: _WorkerContext | None = None
 
 
@@ -563,8 +571,8 @@ class _GammaChunkTask:
     """Phase-A unit: a contiguous run of names, ≈equal candidate pairs.
 
     Chunk boundaries depend only on the network and
-    ``config.gamma_chunk_pairs`` — never on worker count — so serial and
-    pool runs fill byte-identical buffers and a fat shard never
+    ``config.gamma_chunk_pairs`` — never on worker count — so in-process
+    and pool runs fill byte-identical buffers and a fat shard never
     serialises the phase behind one straggler task.
     """
 
@@ -586,7 +594,7 @@ class _ChunkDone:
 #: vertices of the dense split network, so a pair costs ~100× a
 #: candidate pair: small chunks spread the work over the pool instead of
 #: serialising the EM midsection behind one task.  Fixed — never derived
-#: from the worker count — so serial and pool runs chunk identically.
+#: from the worker count — so in-process and pool runs chunk identically.
 SPLIT_CHUNK_PAIRS = 50
 
 
@@ -656,8 +664,8 @@ def _score_split_chunk(task: _SplitScoreTask) -> _ChunkDone:
     """Score one chunk of split-balance matched pairs (Section V-F2).
 
     Like a γ chunk, each chunk starts a fresh computer (over the split
-    network) and writes its rows in place, so serial and pool runs fill
-    byte-identical buffers.  Building a split vertex's columns allocates
+    network) and writes its rows in place, so in-process and pool runs
+    fill byte-identical buffers.  Building a split vertex's columns allocates
     little — WL labels are interned to ints — so the chunk pays no
     copy-on-write fault storm in a forked worker.
     """
@@ -835,7 +843,7 @@ class _PhaseStats:
 
 @dataclass(slots=True)
 class _FitOutcome:
-    """Everything a driver (serial or pool) hands back to ``fit``."""
+    """Everything :meth:`ShardedIUAD._run` hands back to ``fit``."""
 
     model: MatchMixture
     em_report: object
@@ -847,6 +855,24 @@ class _FitOutcome:
     phase: _PhaseStats
 
 
+class _InlineExecutor(Executor):
+    """Runs each task in the calling process at submission.
+
+    The ``n_workers == 0`` executor of :meth:`ShardedIUAD._run`: every
+    future it returns is already complete — holding the task's result,
+    or the exception it raised for ``Future.result`` to re-raise — so
+    the pooled schedule runs unchanged, one task after another.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 # --------------------------------------------------------------------- #
 # orchestrator
 # --------------------------------------------------------------------- #
@@ -856,10 +882,12 @@ class ShardedIUAD(IUAD):
     Drop-in replacement for :class:`~repro.core.iuad.IUAD`: same
     constructor, same ``fit`` signature, same fitted-state accessors, and
     — for ``merge_rounds == 1`` — mention clusterings identical to the
-    single-process fit.  ``config.n_workers`` selects serial in-process
-    execution (``0``) or a ``ProcessPoolExecutor`` of that size; both are
-    deterministic, including under process-pool scheduling (results are
-    collected in shard order, never in completion order).
+    single-process fit.  ``config.n_workers`` picks the executor of the
+    one pipelined schedule (:meth:`_run`): a ``ProcessPoolExecutor`` of
+    that size, or for ``0`` an in-process executor running each task at
+    submission.  Both are deterministic, including under process-pool
+    scheduling (results are collected in shard order, never in
+    completion order).
 
     After fitting, ``shard_index_`` routes streaming inserts
     (:class:`~repro.core.incremental.IncrementalDisambiguator`) to their
@@ -917,12 +945,10 @@ class ShardedIUAD(IUAD):
         row_of = {pair: i for i, pair in enumerate(gplan.all_pairs)}
         training_rows = [row_of[pair] for pair in training]
 
-        use_pool = cfg.n_workers >= 1 and bool(gplan.tasks)
         previous_ctx = _CTX
         shm_blocks: list[shared_memory.SharedMemory] = []
         try:
-            run = self._run_pool if use_pool else self._run_serial
-            outcome = run(
+            outcome = self._run(
                 scn, corpus, plan, gplan, split_pairs, split_tasks,
                 split_network, training, training_rows, decision_set,
                 word_freq, venue_freq, shm_blocks,
@@ -930,7 +956,7 @@ class ShardedIUAD(IUAD):
         finally:
             _CTX = previous_ctx
             # The pool is joined by now (its context manager exits inside
-            # the driver), so no worker still reads these segments.
+            # ``_run``), so no worker still reads these segments.
             for shm in shm_blocks:
                 try:
                     shm.close()
@@ -987,9 +1013,9 @@ class ShardedIUAD(IUAD):
         return self
 
     # ------------------------------------------------------------------ #
-    # drivers
+    # the scheduler
     # ------------------------------------------------------------------ #
-    def _run_serial(
+    def _run(
         self,
         scn: CollaborationNetwork,
         corpus: Corpus,
@@ -1005,164 +1031,73 @@ class ShardedIUAD(IUAD):
         venue_freq: dict[str, int],
         shm_blocks: list[shared_memory.SharedMemory],
     ) -> _FitOutcome:
-        """Eager in-process execution of the same A → EM → B pipeline.
-
-        Every chunk runs through the *same* task functions and result
-        buffers as the pool path (plain process-local arrays standing in
-        for shared memory), and every stage is materialised eagerly
-        inside its own timer — no lazy generators executing under a
-        later stage's clock, so the per-stage attribution is honest.
-        """
-        gamma_buf = np.zeros((gplan.total_rows, 6), dtype=np.float64)
-        split_buf = np.zeros((len(split_pairs), 6), dtype=np.float64)
-        ctx = self._make_context(
-            scn, corpus, word_freq, venue_freq,
-            _ArrayRef(rows=gplan.total_rows, array=gamma_buf),
-            split_network,
-            _ArrayRef(rows=len(split_pairs), array=split_buf),
-        )
-        _init_worker(ctx)
-        phase = _PhaseStats(n_gamma_chunks=len(gplan.tasks))
-        chunk_secs: dict[int, float] = {}
-
-        t_pipe = time.perf_counter()
-        t = time.perf_counter()
-        for task in gplan.tasks:
-            done = _compute_gamma_chunk(task)
-            chunk_secs[done.index] = done.seconds
-            phase.gamma_task_seconds += done.seconds
-        phase.gamma_wall_seconds = time.perf_counter() - t
-
-        t = time.perf_counter()
-        for split_task in split_tasks:
-            phase.split_task_seconds += _score_split_chunk(split_task).seconds
-        phase.split_wall_seconds = time.perf_counter() - t
-
-        t = time.perf_counter()
-        model, em_report, n_train, n_split = self._central_section(
-            scn, corpus, training, training_rows,
-            gamma_buf, split_pairs, split_buf,
-        )
-        phase.em_seconds = time.perf_counter() - t
-
-        tasks, fits = self._decision_tasks(
-            plan, gplan, decision_set, _ModelRef(model=model), scn
-        )
-        t = time.perf_counter()
-        for decision_task in tasks:
-            fit = _fit_shard(decision_task)
-            phase.decide_task_seconds += fit.seconds
-            fits[fit.index] = fit
-        phase.decide_wall_seconds = time.perf_counter() - t
-        phase.pipeline_seconds = time.perf_counter() - t_pipe
-
-        per_name_gamma, shard_gamma = self._attribute_gamma(
-            gplan, plan, chunk_secs
-        )
-        return _FitOutcome(
-            model=model,
-            em_report=em_report,
-            n_train=n_train,
-            n_split=n_split,
-            shard_fits=[fits[shard.index] for shard in plan.shards],
-            per_name_gamma=per_name_gamma,
-            shard_gamma=shard_gamma,
-            phase=phase,
-        )
-
-    def _run_pool(
-        self,
-        scn: CollaborationNetwork,
-        corpus: Corpus,
-        plan: ShardPlan,
-        gplan: _GammaPlan,
-        split_pairs: list[Pair],
-        split_tasks: list[_SplitScoreTask],
-        split_network: CollaborationNetwork | None,
-        training: list[Pair],
-        training_rows: list[int],
-        decision_set: set[str],
-        word_freq: dict[str, int],
-        venue_freq: dict[str, int],
-        shm_blocks: list[shared_memory.SharedMemory],
-    ) -> _FitOutcome:
-        """Pipelined pool execution: submit/as_completed, no phase barriers.
+        """The A → EM → B pipeline: submit/as_completed, no phase barriers.
 
         Timeline: all split-balance chunks, then all γ chunks, are
         submitted up front (split chunks first: EM needs every one of
         them, but only the γ chunks holding a sampled row); the EM
         midsection starts once the split buffer and the *sampled* γ rows
-        are in — the γ tail keeps computing underneath it; each shard's
-        decision task is dispatched the moment both the model and its γ
-        rows exist.
+        are in; each shard's decision task is dispatched the moment both
+        the model and its γ rows exist.
+
+        ``config.n_workers >= 1`` runs the tasks in a process pool over
+        shared-memory result blocks, so the γ tail computes underneath
+        EM.  ``0`` runs the same schedule through :class:`_InlineExecutor`
+        over plain arrays: every task completes at submission, so the
+        phases follow one another and their walls tile the pipeline.
         Results are keyed by chunk/shard index, so completion order
         never leaks into the outcome.
         """
         cfg = self.config
-        method = cfg.mp_start_method or (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
+        # A fit without candidate pairs has no γ work worth a pool.
+        pooled = cfg.n_workers >= 1 and bool(gplan.tasks)
+        gamma_ref, gamma_buf = self._result_block(
+            gplan.total_rows, shm_blocks, pooled
         )
-        mp_context = multiprocessing.get_context(method)
-        gamma_ref, gamma_buf = self._shared_block(gplan.total_rows, shm_blocks)
-        split_ref, split_buf = self._shared_block(len(split_pairs), shm_blocks)
+        split_ref, split_buf = self._result_block(
+            len(split_pairs), shm_blocks, pooled
+        )
         ctx = self._make_context(
             scn, corpus, word_freq, venue_freq, gamma_ref,
             split_network, split_ref,
         )
-        if method == "fork":
-            # Fork workers inherit the parent's memory copy-on-write:
-            # setting the module-level context *before* the pool forks
-            # ships the SCN/corpus to every worker for free.  The
-            # initializer then freezes the inherited heap in each child
-            # (see :func:`_boot_pool_worker`).
-            _init_worker(ctx)
-            pool_kwargs = {"initializer": _boot_pool_worker}
-        else:
-            # Spawn/forkserver workers pickle the context once per worker
-            # through the initializer, then freeze it the same way.
-            pool_kwargs = {
-                "initializer": _boot_pool_worker,
-                "initargs": (ctx,),
-            }
+        # In-process tasks read the module-level context directly, and
+        # fork workers inherit it copy-on-write — setting it before the
+        # pool forks ships the SCN/corpus to every worker for free.
+        _init_worker(ctx)
+        executor = self._process_pool(ctx) if pooled else _InlineExecutor()
 
         phase = _PhaseStats(
             n_gamma_chunks=len(gplan.tasks),
             shm_bytes=sum(shm.size for shm in shm_blocks),
         )
         chunk_secs: dict[int, float] = {}
+        first_submit: dict[str, float] = {}
         finished_at: dict[tuple[str, int], float] = {}
 
-        def stamp(kind: str, index: int):
-            key = (kind, index)
-
-            def record(_fut: Future) -> None:
-                finished_at[key] = time.perf_counter()
-
-            return record
-
-        with ProcessPoolExecutor(
-            max_workers=cfg.n_workers, mp_context=mp_context, **pool_kwargs
-        ) as pool:
-            t_pipe = time.perf_counter()
-            split_futs: list[Future] = []
-            for split_task in split_tasks:
-                phase.ipc_task_bytes += len(
-                    pickle.dumps(split_task, pickle.HIGHEST_PROTOCOL)
-                )
-                fut = pool.submit(_score_split_chunk, split_task)
-                fut.add_done_callback(stamp("split", split_task.index))
-                split_futs.append(fut)
-            gamma_futs: dict[Future, _GammaChunkTask] = {}
-            for task in gplan.tasks:
+        def submit(kind: str, fn, task) -> Future:
+            if pooled:
                 phase.ipc_task_bytes += len(
                     pickle.dumps(task, pickle.HIGHEST_PROTOCOL)
                 )
-                fut = pool.submit(_compute_gamma_chunk, task)
-                fut.add_done_callback(stamp("gamma", task.index))
-                gamma_futs[fut] = task
+            first_submit.setdefault(kind, time.perf_counter())
+            fut = executor.submit(fn, task)
+            key = (kind, task.index)
+            fut.add_done_callback(
+                lambda _fut: finished_at.__setitem__(key, time.perf_counter())
+            )
+            return fut
 
+        with executor:
+            t_pipe = time.perf_counter()
+            split_futs = [
+                submit("split", _score_split_chunk, split_task)
+                for split_task in split_tasks
+            ]
+            gamma_futs = {
+                submit("gamma", _compute_gamma_chunk, task): task
+                for task in gplan.tasks
+            }
             for fut in split_futs:
                 phase.split_task_seconds += fut.result().seconds
 
@@ -1186,8 +1121,11 @@ class ShardedIUAD(IUAD):
             )
             phase.em_seconds = time.perf_counter() - t_em
 
-            model_ref = self._broadcast_model(model, shm_blocks)
-            phase.shm_bytes += model_ref.nbytes
+            if pooled:
+                model_ref = self._broadcast_model(model, shm_blocks)
+                phase.shm_bytes += model_ref.nbytes
+            else:
+                model_ref = _ModelRef(model=model)
             tasks, fits = self._decision_tasks(
                 plan, gplan, decision_set, model_ref, scn
             )
@@ -1196,26 +1134,18 @@ class ShardedIUAD(IUAD):
                 task.index: {gplan.chunk_of_name[name] for name in task.names}
                 for task in tasks
             }
-            decide_futs: dict[Future, int] = {}
-            t_decide: float | None = None
+            decide_futs: list[Future] = []
 
             def dispatch_ready() -> None:
-                nonlocal t_decide
                 ready = [
                     index
                     for index, chunks in rows_needed.items()
                     if index in pending and chunks <= done_chunks
                 ]
                 for index in ready:
-                    decision_task = pending.pop(index)
-                    phase.ipc_task_bytes += len(
-                        pickle.dumps(decision_task, pickle.HIGHEST_PROTOCOL)
+                    decide_futs.append(
+                        submit("decide", _fit_shard, pending.pop(index))
                     )
-                    if t_decide is None:
-                        t_decide = time.perf_counter()
-                    fut = pool.submit(_fit_shard, decision_task)
-                    fut.add_done_callback(stamp("decide", index))
-                    decide_futs[fut] = index
 
             # Shards whose γ landed before the model go out immediately;
             # the rest dispatch as their tail chunks complete.
@@ -1238,26 +1168,23 @@ class ShardedIUAD(IUAD):
                 fits[fit.index] = fit
             t_end = time.perf_counter()
 
-        # The pool is joined: every done-callback has fired, so the
-        # completion stamps are final.
-        gamma_done = [ts for (k, _), ts in finished_at.items() if k == "gamma"]
-        decide_done = [
-            ts for (k, _), ts in finished_at.items() if k == "decide"
-        ]
-        phase.gamma_wall_seconds = max(gamma_done, default=t_pipe) - t_pipe
-        split_done = [ts for (k, _), ts in finished_at.items() if k == "split"]
-        phase.split_wall_seconds = max(split_done, default=t_pipe) - t_pipe
-        phase.decide_wall_seconds = (
-            max(decide_done) - t_decide if decide_done and t_decide else 0.0
-        )
+        # The executor is shut down: every done-callback has fired, so
+        # the completion stamps are final.
+        def wall(kind: str) -> float:
+            done = [ts for (k, _), ts in finished_at.items() if k == kind]
+            return max(done) - first_submit[kind] if done else 0.0
+
+        phase.gamma_wall_seconds = wall("gamma")
+        phase.split_wall_seconds = wall("split")
+        phase.decide_wall_seconds = wall("decide")
         phase.pipeline_seconds = t_end - t_pipe
         phase.overlap_gamma_chunks = sum(
             1 for (k, _), ts in finished_at.items() if k == "gamma" and ts > t_em
         )
         # Concurrency won: how much longer the phases would have taken
-        # laid end to end.  Split chunks run alongside the γ chunks, and
-        # the γ tail runs under EM/decide, so the sum of walls can
-        # legitimately exceed the pipeline.
+        # laid end to end.  On a pool, split chunks run alongside the γ
+        # chunks and the γ tail runs under EM/decide, so the sum of walls
+        # can legitimately exceed the pipeline; inline it never does.
         phase.overlap_seconds = max(
             0.0,
             phase.gamma_wall_seconds
@@ -1282,7 +1209,7 @@ class ShardedIUAD(IUAD):
         )
 
     # ------------------------------------------------------------------ #
-    # driver helpers
+    # scheduler helpers
     # ------------------------------------------------------------------ #
     def _make_context(
         self,
@@ -1308,19 +1235,41 @@ class ShardedIUAD(IUAD):
             split_ref=split_ref,
         )
 
-    @staticmethod
-    def _shared_block(
-        rows: int, shm_blocks: list[shared_memory.SharedMemory]
-    ) -> tuple[_ArrayRef, np.ndarray]:
-        """A ``(rows, 6)`` float64 result block backed by shared memory.
+    def _process_pool(self, ctx: _WorkerContext) -> ProcessPoolExecutor:
+        """The worker pool of a ``config.n_workers >= 1`` fit.
 
-        Returns the worker-facing reference and the parent's own view.
-        Zero-row blocks skip the OS segment (``SharedMemory`` forbids
-        empty segments) and ship a plain empty array instead.
+        Fork workers inherit the context :meth:`_run` installed before
+        the pool forks; spawn/forkserver workers receive it pickled once
+        through the initializer.  Either way the initializer then
+        freezes the worker heap (see :func:`_boot_pool_worker`).
         """
-        if rows == 0:
-            empty = np.zeros((0, 6), dtype=np.float64)
-            return _ArrayRef(rows=0, array=empty), empty
+        cfg = self.config
+        method = cfg.mp_start_method or (
+            "fork"
+            if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
+        return ProcessPoolExecutor(
+            max_workers=cfg.n_workers,
+            mp_context=multiprocessing.get_context(method),
+            initializer=_boot_pool_worker,
+            initargs=() if method == "fork" else (ctx,),
+        )
+
+    @staticmethod
+    def _result_block(
+        rows: int, shm_blocks: list[shared_memory.SharedMemory], shared: bool
+    ) -> tuple[_ArrayRef, np.ndarray]:
+        """A ``(rows, 6)`` float64 result block the tasks fill in place.
+
+        Returns the task-facing reference and the parent's own view.
+        ``shared`` blocks are backed by a shared-memory segment that pool
+        workers write into; in-process runs hold a plain array, as do
+        zero-row blocks (``SharedMemory`` forbids empty segments).
+        """
+        if not shared or rows == 0:
+            array = np.zeros((rows, 6), dtype=np.float64)
+            return _ArrayRef(rows=rows, array=array), array
         shm = shared_memory.SharedMemory(create=True, size=rows * 6 * 8)
         shm_blocks.append(shm)
         view = np.ndarray((rows, 6), dtype=np.float64, buffer=shm.buf)
@@ -1344,7 +1293,7 @@ class ShardedIUAD(IUAD):
         """Split-balance matched pairs, in chunks of
         :data:`SPLIT_CHUNK_PAIRS` — never sized by the worker count — so
         the layout (and the float accumulation order behind it) is
-        identical on the serial and pool paths.
+        identical in-process and on a pool.
         """
         cfg = self.config
         if not cfg.balance_split:

@@ -292,7 +292,7 @@ class StreamingIngestor(IncrementalDisambiguator):
         return target
 
     def _checkpoint_full(self, target: Path, backend: str | None) -> None:
-        from ..io import backends as io_backends
+        from ..io import adapters as io_adapters
         from ..io import delta as delta_chain
         from ..io.snapshot import snapshot_of
 
@@ -304,7 +304,7 @@ class StreamingIngestor(IncrementalDisambiguator):
             # between leaves a log of records the base already skips.
             snapshot.delta_seq = self._delta_seq
             document = snapshot.to_document()
-            io_backends.write_document(document, target, backend)
+            io_adapters.write_document(document, target, backend)
             self._delta_base_fp = delta_chain.document_fingerprint(document)
             self._delta_chain_len = 0
             self._journal.clear()
@@ -317,7 +317,7 @@ class StreamingIngestor(IncrementalDisambiguator):
             snapshot.save(target, backend=backend)
 
     def _checkpoint_delta(self, target: Path, backend: str | None) -> None:
-        from ..io import backends as io_backends
+        from ..io import adapters as io_adapters
         from ..io import delta as delta_chain
         from ..io.snapshot import _encode_stream, snapshot_of
 
@@ -333,7 +333,7 @@ class StreamingIngestor(IncrementalDisambiguator):
             snapshot = snapshot_of(self.iuad, stream=self.report)
             snapshot.delta_seq = self._delta_seq
             document = snapshot.to_document()
-            io_backends.write_document(document, target, backend)
+            io_adapters.write_document(document, target, backend)
             self._delta_base_fp = delta_chain.document_fingerprint(document)
             self._delta_base_path = Path(target)
             self._delta_chain_len = 0
@@ -380,11 +380,11 @@ class StreamingIngestor(IncrementalDisambiguator):
         auto-checkpoints go back to the same file unless
         ``checkpoint_path`` overrides it.
         """
-        from ..io import backends as io_backends
+        from ..io import adapters as io_adapters
         from ..io import delta as delta_chain
         from ..io.snapshot import Snapshot
 
-        document = io_backends.read_document(path, backend)
+        document = io_adapters.read_document(path, backend)
         snapshot = Snapshot.from_document(document)
         log_path = delta_chain.delta_log_path(path)
         fingerprint: str | None = None

@@ -18,7 +18,8 @@ Public surface:
   :func:`~repro.io.adapters.register_adapter` /
   :func:`~repro.io.adapters.resolve_adapter` /
   :func:`~repro.io.adapters.list_adapters` over the bundled JSONL and
-  SQLite drivers (``BACKENDS`` / ``resolve_backend`` remain as aliases);
+  SQLite drivers, and the atomic :func:`~repro.io.adapters.write_document`
+  / :func:`~repro.io.adapters.read_document` entry points;
 * **delta chains** (:mod:`repro.io.delta`) — append-only O(changes)
   checkpoints replayed on top of a base snapshot, with compaction;
 * **point queries** (:mod:`repro.io.query`) —
@@ -35,10 +36,11 @@ from .adapters import (
     ADAPTERS,
     SnapshotAdapter,
     list_adapters,
+    read_document,
     register_adapter,
     resolve_adapter,
+    write_document,
 )
-from .backends import BACKENDS, read_document, resolve_backend, write_document
 from .delta import compact_chain, delta_log_path
 from .query import SnapshotQuery
 from .schema import FORMAT_NAME, SCHEMA_VERSION
@@ -52,7 +54,6 @@ from .snapshot import (
 
 __all__ = [
     "ADAPTERS",
-    "BACKENDS",
     "FORMAT_NAME",
     "SCHEMA_VERSION",
     "ShardingState",
@@ -65,7 +66,6 @@ __all__ = [
     "read_document",
     "register_adapter",
     "resolve_adapter",
-    "resolve_backend",
     "snapshot_header",
     "snapshot_of",
     "verify_snapshot",

@@ -8,7 +8,7 @@ consumer (``Snapshot.save/load``, streaming checkpoints, delta-chain
 bases, ``tools/snapshot.py convert``, the serving warm start) picks them
 up through :func:`resolve_adapter`.
 
-Resolution order (unchanged from the pre-registry ``repro.io.backends``):
+Resolution order:
 
 1. an explicit adapter name always wins;
 2. for an existing file, each registered adapter's byte ``sniff`` runs
@@ -155,7 +155,7 @@ def fsync_dir(path: Path) -> None:
 JSONL = register_adapter(JsonlAdapter())
 SQLITE = register_adapter(SqliteAdapter())
 
-#: Live read-only view of the registry (``repro.io.BACKENDS`` compat).
+#: Live read-only view of the registry.
 ADAPTERS = MappingProxyType(_REGISTRY)
 
 __all__ = [

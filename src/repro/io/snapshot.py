@@ -51,7 +51,7 @@ from ..graphs.collab import CollaborationNetwork
 from ..model.mixture import MatchMixture
 from ..similarity.profile import SimilarityComputer
 from ..text.embeddings import WordEmbeddings
-from . import backends, schema
+from . import adapters, schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.iuad import IUAD
@@ -228,17 +228,8 @@ class Snapshot:
 
     @classmethod
     def from_document(cls, document: Mapping[str, Any]) -> "Snapshot":
+        version = _validate_document(document, "snapshot document")
         meta = document["meta"]
-        if meta.get("format") != schema.FORMAT_NAME:
-            raise ValueError(
-                f"not a snapshot document (format={meta.get('format')!r})"
-            )
-        version = int(meta.get("version", 0))
-        if version < 1 or version > schema.SCHEMA_VERSION:
-            raise ValueError(
-                f"snapshot schema version {version} is not supported "
-                f"(this build reads 1..{schema.SCHEMA_VERSION})"
-            )
         tables = document["tables"]
         sections = document["sections"]
         computer = sections["computer"]
@@ -260,7 +251,7 @@ class Snapshot:
             corpus=schema.decode_corpus(tables["papers"]),
             gcn=schema.decode_network(
                 tables["gcn_vertices"],
-                tables["gcn_edges"],
+                tables.get("gcn_edges", []),
                 sections["gcn_meta"],
             ),
             scn=scn,
@@ -284,13 +275,13 @@ class Snapshot:
     # disk
     # ------------------------------------------------------------------ #
     def save(self, path: str | Path, backend: str | None = None) -> Path:
-        """Atomically write this snapshot (see :mod:`.backends`)."""
-        return backends.write_document(self.to_document(), path, backend)
+        """Atomically write this snapshot (see :mod:`.adapters`)."""
+        return adapters.write_document(self.to_document(), path, backend)
 
     @classmethod
     def load(cls, path: str | Path, backend: str | None = None) -> "Snapshot":
         """Read a snapshot; the backend is sniffed from the file bytes."""
-        return cls.from_document(backends.read_document(path, backend))
+        return cls.from_document(adapters.read_document(path, backend))
 
     @classmethod
     def load_chain(
@@ -312,7 +303,7 @@ class Snapshot:
         """
         from . import delta as delta_chain
 
-        document = backends.read_document(path, backend)
+        document = adapters.read_document(path, backend)
         snapshot = cls.from_document(document)
         log_path = delta_chain.delta_log_path(path)
         if not log_path.exists():
@@ -458,6 +449,71 @@ def _decode_stream(payload: Mapping[str, Any]) -> IncrementalReport:
 
 
 # --------------------------------------------------------------------- #
+# structural validation (shared by every reader)
+# --------------------------------------------------------------------- #
+#: Tables and sections every snapshot document carries.  Other tables
+#: may legitimately be absent: the JSONL adapter writes no line for an
+#: empty table (an edgeless network, no embeddings).
+_REQUIRED_TABLES = ("papers", "gcn_vertices")
+_REQUIRED_SECTIONS = ("config", "model", "computer", "gcn_meta")
+#: Header count field -> the table it counts.
+_COUNTED_TABLES = {"n_papers": "papers", "n_gcn_vertices": "gcn_vertices"}
+
+
+def _validate_document(document: Any, where: str) -> int:
+    """Structural checks shared by every snapshot reader; returns the version.
+
+    :func:`snapshot_header` and :meth:`Snapshot.from_document` (hence
+    ``Snapshot.load``, ``Snapshot.load_chain`` and
+    ``StreamingIngestor.resume``) run this before reading any field, so
+    a foreign, truncated or hand-edited document fails the same way
+    through every entry point: a one-line :class:`ValueError` prefixed
+    with ``where``.
+    """
+    if not isinstance(document, Mapping):
+        raise ValueError(f"{where}: snapshot document is not an object")
+    meta = document.get("meta")
+    sections = document.get("sections")
+    tables = document.get("tables")
+    if not all(isinstance(part, Mapping) for part in (meta, sections, tables)):
+        raise ValueError(
+            f"{where}: snapshot document lacks meta/sections/tables"
+        )
+    if meta.get("format") != schema.FORMAT_NAME:
+        raise ValueError(
+            f"{where}: not a repro snapshot "
+            f"(meta.format={meta.get('format')!r})"
+        )
+    try:
+        version = int(meta.get("version", 0))
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{where}: non-integer schema version {meta.get('version')!r}"
+        ) from None
+    if not 1 <= version <= schema.SCHEMA_VERSION:
+        raise ValueError(
+            f"{where}: unsupported schema version {version} "
+            f"(this build reads 1..{schema.SCHEMA_VERSION})"
+        )
+    for table in _REQUIRED_TABLES:
+        if not isinstance(tables.get(table), list):
+            raise ValueError(f"{where}: missing table {table!r}")
+    for section in _REQUIRED_SECTIONS:
+        if not isinstance(sections.get(section), Mapping):
+            raise ValueError(f"{where}: missing section {section!r}")
+    if "next_vid" not in sections["gcn_meta"]:
+        raise ValueError(f"{where}: gcn_meta section lacks next_vid")
+    for key, table in _COUNTED_TABLES.items():
+        declared = meta.get(key)
+        if declared is not None and declared != len(tables[table]):
+            raise ValueError(
+                f"{where}: header claims {declared} {table} rows, "
+                f"the table holds {len(tables[table])}"
+            )
+    return version
+
+
+# --------------------------------------------------------------------- #
 # header inspection (library core of ``tools/snapshot.py inspect``)
 # --------------------------------------------------------------------- #
 def snapshot_header(path: str | Path, backend: str | None = None) -> dict:
@@ -487,38 +543,16 @@ def snapshot_header(path: str | Path, backend: str | None = None) -> dict:
     if not path.exists():
         raise ValueError(f"{path}: no such file")
     try:
-        resolved = backends.resolve_backend(path, backend)
-        document = backends.read_document(path, backend)
+        resolved = adapters.resolve_adapter(path, backend)
+        document = adapters.read_document(path, backend)
     except ValueError:
         raise
     except Exception as exc:
         raise ValueError(f"{path}: unreadable snapshot ({exc})") from exc
-    if not isinstance(document, Mapping):
-        raise ValueError(f"{path}: snapshot document is not an object")
-    meta = document.get("meta")
-    tables = document.get("tables")
-    sections = document.get("sections")
-    if not isinstance(meta, Mapping) or not isinstance(tables, Mapping) \
-            or not isinstance(sections, Mapping):
-        raise ValueError(
-            f"{path}: snapshot document lacks meta/sections/tables"
-        )
-    if meta.get("format") != schema.FORMAT_NAME:
-        raise ValueError(
-            f"{path}: not a repro snapshot "
-            f"(meta.format={meta.get('format')!r})"
-        )
-    try:
-        version = int(meta.get("version", 0))
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{path}: non-integer schema version {meta.get('version')!r}"
-        ) from None
-    if version < 1 or version > schema.SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported schema version {version} "
-            f"(this build reads 1..{schema.SCHEMA_VERSION})"
-        )
+    version = _validate_document(document, str(path))
+    meta, sections, tables = (
+        document["meta"], document["sections"], document["tables"]
+    )
     header: dict = {
         "path": str(path),
         "backend": resolved.name,
@@ -527,26 +561,11 @@ def snapshot_header(path: str | Path, backend: str | None = None) -> dict:
         "format": meta["format"],
         "version": version,
         "kind": meta.get("kind", "iuad"),
+        "n_papers": len(tables["papers"]),
+        "n_vertices": len(tables["gcn_vertices"]),
+        "n_edges": len(tables.get("gcn_edges", [])),
+        "next_vid": int(sections["gcn_meta"]["next_vid"]),
     }
-    for key, table in (
-        ("n_papers", "papers"),
-        ("n_vertices", "gcn_vertices"),
-    ):
-        declared = meta.get(key if key != "n_vertices" else "n_gcn_vertices")
-        actual = tables.get(table)
-        if not isinstance(actual, list):
-            raise ValueError(f"{path}: missing table {table!r}")
-        if declared is not None and int(declared) != len(actual):
-            raise ValueError(
-                f"{path}: header claims {declared} {table} rows, "
-                f"the table holds {len(actual)}"
-            )
-        header[key] = len(actual)
-    header["n_edges"] = len(tables.get("gcn_edges", []))
-    gcn_meta = sections.get("gcn_meta")
-    if not isinstance(gcn_meta, Mapping) or "next_vid" not in gcn_meta:
-        raise ValueError(f"{path}: gcn_meta section is missing or incomplete")
-    header["next_vid"] = int(gcn_meta["next_vid"])
     header["has_scn"] = "scn_meta" in sections
     header["has_stream"] = "stream" in sections
     header["has_embeddings"] = bool(tables.get("embedding_rows"))

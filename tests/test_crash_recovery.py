@@ -1,6 +1,6 @@
 """Crash recovery: a kill mid-checkpoint never corrupts the last snapshot.
 
-The atomicity contract of :mod:`repro.io.backends`: checkpoints are
+The atomicity contract of :mod:`repro.io.adapters`: checkpoints are
 written to a ``.tmp`` sibling, fsynced, then renamed over the
 destination.  These tests simulate the two crash windows — a truncated
 tmp file (killed mid-write) and an interrupt *before* the rename — and
@@ -19,7 +19,7 @@ import pytest
 from repro.core import IUAD, IUADConfig, StreamingIngestor
 from repro.data.records import Corpus, Paper
 from repro.io import Snapshot
-from repro.io import backends as io_backends
+from repro.io import adapters as io_adapters
 
 BACKENDS = ("jsonl", "sqlite")
 
@@ -116,7 +116,7 @@ def test_interrupt_before_rename_keeps_previous_snapshot(
             raise OSError("simulated crash before rename")
         return real_replace(src, dst, *args, **kwargs)
 
-    monkeypatch.setattr(io_backends.os, "replace", crash_on_replace)
+    monkeypatch.setattr(io_adapters.os, "replace", crash_on_replace)
     with pytest.raises(OSError, match="simulated crash"):
         stream.checkpoint()
     monkeypatch.undo()

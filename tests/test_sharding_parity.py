@@ -11,9 +11,16 @@ corpus, plus the partition/stitch building blocks around it.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+
 import pytest
 
 from repro.core import IUAD, IUADConfig, IncrementalDisambiguator, ShardedIUAD
+from repro.core import sharding
 from repro.core.sharding import ShardIndex, plan_shards
 from repro.data.records import Corpus, Paper
 from repro.data.synthetic import ambiguous_names
@@ -258,6 +265,75 @@ class TestPipelineAccounting:
         assert r.shm_bytes > 0
         # Stage 2 wraps the whole pipeline plus stitch/model bookkeeping.
         assert r.stage2_seconds >= r.pipeline_seconds
+
+
+_REAL_GAMMA_CHUNK = sharding._compute_gamma_chunk
+
+
+def _kill_worker_on_chunk_one(task):
+    """γ-chunk stand-in that SIGKILLs the pool worker handed chunk 1.
+
+    Module-level so a forked worker unpickles it by name; it never kills
+    the test process itself, which has no parent process.
+    """
+    if task.index == 1 and multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _REAL_GAMMA_CHUNK(task)
+
+
+def _shm_segments() -> set[str]:
+    """Names of the live POSIX shared-memory segments ``SharedMemory`` made."""
+    root = Path("/dev/shm")
+    return {p.name for p in root.glob("psm_*")} if root.is_dir() else set()
+
+
+class TestSchedulerFailurePaths:
+    """A failing task ends the one scheduler cleanly on either executor:
+    the error surfaces from ``fit``, the module context is restored and
+    no shared-memory segment outlives the fit."""
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_killed_pool_worker_breaks_the_fit_cleanly(
+        self, small_corpus, monkeypatch
+    ):
+        monkeypatch.setattr(
+            sharding, "_compute_gamma_chunk", _kill_worker_on_chunk_one
+        )
+        ctx_before = sharding._CTX
+        segments_before = _shm_segments()
+        config = IUADConfig(
+            n_workers=2, gamma_chunk_pairs=64, mp_start_method="fork"
+        )
+        with pytest.raises(BrokenProcessPool):
+            ShardedIUAD(config).fit(small_corpus)
+        assert _shm_segments() - segments_before == set()
+        assert sharding._CTX is ctx_before
+
+    @pytest.mark.parametrize("task_fn", ["_compute_gamma_chunk", "_fit_shard"])
+    def test_inline_task_error_propagates_unchanged(
+        self, small_corpus, monkeypatch, task_fn
+    ):
+        real = getattr(sharding, task_fn)
+        raised: list[Exception] = []
+
+        def fail_on_second_task(task):
+            if task.index == 1:
+                raised.append(RuntimeError(f"{task_fn} failed on task 1"))
+                raise raised[-1]
+            return real(task)
+
+        monkeypatch.setattr(sharding, task_fn, fail_on_second_task)
+        ctx_before = sharding._CTX
+        config = IUADConfig(
+            n_workers=0, gamma_chunk_pairs=64, max_shard_size=300
+        )
+        with pytest.raises(RuntimeError) as excinfo:
+            ShardedIUAD(config).fit(small_corpus)
+        assert len(raised) == 1 and excinfo.value is raised[0]
+        assert sharding._CTX is ctx_before
 
 
 class TestShardedIncrementalRouting:

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import IUAD, IUADConfig, StreamingIngestor
 from repro.graphs.collab import CollaborationNetwork, combine_networks
-from repro.io import Snapshot, snapshot_of, verify_snapshot
+from repro.io import Snapshot, snapshot_header, snapshot_of, verify_snapshot
 from repro.io.schema import (
     decode_config,
     decode_network,
@@ -256,6 +256,40 @@ def test_load_rejects_non_snapshot_files(tmp_path):
     bogus.write_text('{"hello": "world"}\n', encoding="utf-8")
     with pytest.raises(ValueError):
         Snapshot.load(bogus)
+
+
+@pytest.mark.parametrize(
+    "meta, reason",
+    [
+        ({"format": "repro-snapshot", "version": 1}, "missing table 'papers'"),
+        (["repro-snapshot", 1], "lacks meta/sections/tables"),
+    ],
+    ids=["meta-only", "non-mapping-meta"],
+)
+def test_truncated_snapshot_fails_alike_at_every_entry_point(
+    meta, reason, tmp_path
+):
+    # One validator behind every reader: a parseable but truncated
+    # document raises the same one-line ValueError from the header
+    # inspection, the full decode, the chain load and the stream resume
+    # — never a bare KeyError or AttributeError from deep in the decode.
+    path = tmp_path / "truncated.jsonl"
+    path.write_text(json.dumps({"meta": meta}) + "\n", encoding="utf-8")
+    entry_points = {
+        "snapshot_header": snapshot_header,
+        "Snapshot.load": Snapshot.load,
+        "Snapshot.load_chain": Snapshot.load_chain,
+        "StreamingIngestor.resume": StreamingIngestor.resume,
+        "Snapshot.from_document": lambda p: Snapshot.from_document(
+            {"meta": meta, "sections": {}, "tables": {}}
+        ),
+    }
+    for label, read in entry_points.items():
+        with pytest.raises(ValueError) as excinfo:
+            read(path)
+        message = str(excinfo.value)
+        assert message.endswith(reason), (label, message)
+        assert "\n" not in message, label
 
 
 # --------------------------------------------------------------------- #
