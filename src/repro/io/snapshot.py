@@ -88,7 +88,6 @@ class Snapshot:
     scn: CollaborationNetwork | None = None
     embeddings: WordEmbeddings | None = None
     frequent_keywords: tuple[str, ...] = ()
-    batch_threshold: int = 16
     sharding: ShardingState | None = None
     stream: IncrementalReport | None = None
     version: int = schema.SCHEMA_VERSION
@@ -132,7 +131,6 @@ class Snapshot:
             word_frequencies=dict(computer.word_frequencies),
             venue_frequencies=dict(computer.venue_frequencies),
             frequent_keywords=tuple(sorted(computer.frequent_keywords)),
-            batch_threshold=computer.batch_threshold,
             sharding=sharding,
             stream=stream,
         )
@@ -169,7 +167,6 @@ class Snapshot:
             wl_iterations=self.config.wl_iterations,
             decay_alpha=self.config.decay_alpha,
             frequent_keywords=frozenset(self.frequent_keywords),
-            batch_threshold=self.batch_threshold,
             venue_frequencies=self.venue_frequencies,
         )
         if self.sharding is not None:
@@ -195,7 +192,6 @@ class Snapshot:
                 "word_frequencies": dict(self.word_frequencies),
                 "venue_frequencies": dict(self.venue_frequencies),
                 "frequent_keywords": list(self.frequent_keywords),
-                "batch_threshold": self.batch_threshold,
             },
             "gcn_meta": gcn_meta,
         }
@@ -264,7 +260,6 @@ class Snapshot:
                 k: int(v) for k, v in computer["venue_frequencies"].items()
             },
             frequent_keywords=tuple(computer.get("frequent_keywords", ())),
-            batch_threshold=int(computer.get("batch_threshold", 16)),
             sharding=sharding,
             stream=stream,
             version=version,

@@ -1,26 +1,30 @@
 """Batched similarity engine: vectorised γ1–γ6 over whole pair lists.
 
-The per-pair path in :mod:`.profile` walks Python dicts for every candidate
-pair; with tens of thousands of same-name pairs (Table V scales) that loop
-dominates Stage 2.  This module keeps a *columnar* store of per-vertex
-state — every per-vertex feature multiset (keywords, venues, WL labels,
-triangles) is interned into a global column space and stored as aligned
-``(column, value)`` arrays — and evaluates all six similarity functions for
-an entire pair list with numpy/scipy sparse kernels:
+This is the one scoring path of Stage 2: every pair list, from a single
+streamed probe pair to a whole merge round's candidate set, goes through
+:meth:`BatchSimilarityEngine.gamma_matrix`.  (The per-pair path in
+:mod:`.profile` walks Python dicts one pair at a time and serves as the
+test oracle.)  The engine keeps a *columnar* store of per-vertex state —
+every per-vertex feature multiset (keywords, venues, WL labels,
+triangles) is interned into a global column space and stored as sorted
+``(column, value)`` arrays — and scores a pair list with one numpy
+sorted-key join per feature family (:func:`_join`): the family's rows are
+laid end to end as keys ``row * width + column``, and every pair probes
+its shorter row's columns into the longer row with one ``searchsorted``.
+Each γ is then a ``bincount`` over the shared-column hits:
 
 ======  =======  ============================  ===============================
 γ       paper    per-pair form                 batched form
 ======  =======  ============================  ===============================
-γ1      Eq. 3    WL feature-map dot product    CSR row slice · elementwise
-                                               multiply
-γ2      Eq. 5    triangle-set intersection     binary CSR multiply, row sums
-γ3      Eq. 6    centroid / multiset cosine    dense einsum with
-                                               sparse-cosine fallback
-γ4      Eq. 7    shared-keyword year decay     aligned COO data arrays +
-                                               ``bincount``
-γ5      Eq. 8    representative-venue counts   vectorised CSR element lookup
-γ6      Eq. 9    venue Adamic/Adar overlap     aligned COO minimum +
-                                               ``bincount``
+γ1      Eq. 3    WL feature-map dot product    product of the hit counts
+γ2      Eq. 5    triangle-set intersection     number of hits
+γ3      Eq. 6    centroid / multiset cosine    dense einsum; multiset
+                                               fallback from the hit counts
+γ4      Eq. 7    shared-keyword year decay     decayed weights of the hits'
+                                               year windows
+γ5      Eq. 8    representative-venue counts   hits on either side's
+                                               representative venue
+γ6      Eq. 9    venue Adamic/Adar overlap     weighted min count of the hits
 ======  =======  ============================  ===============================
 
 Identity model: column caches are keyed by *vertex id*, and a vertex's
@@ -62,16 +66,10 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from ..text.embeddings import WordEmbeddings
 
 Pair = tuple[int, int]
-
-#: Stored usage years are shifted by +1 so every stored LO/HI value is
-#: strictly positive — scipy sparse ops may silently drop explicit zeros,
-#: and a year-0 entry must survive the shared-support intersection.
-_YEAR_SHIFT = 1.0
 
 
 class FeatureInterner:
@@ -129,15 +127,16 @@ class VertexArrays:
     """Columnar state of one vertex, as the γ kernels read it.
 
     All keyword-aligned arrays (``kw_cols``/``kw_counts``/``kw_lohi``)
-    share one ordering, sorted by column id so CSR rows assembled from them
-    are canonical without a per-call sort.
+    share one ordering, sorted by column id — as are the other column
+    arrays — so rows laid end to end form the γ join's sorted keys
+    without a per-call sort.
     """
 
     vid: int
     n_papers: int
     kw_cols: np.ndarray        # int64, sorted
     kw_counts: np.ndarray      # float64
-    kw_lohi: np.ndarray        # complex128: (min year + i·max year) + _YEAR_SHIFT
+    kw_lohi: np.ndarray        # complex128: min year + i·max year
     kw_norm: float             # ‖keyword multiset‖₂
     ven_cols: np.ndarray       # int64, sorted
     ven_counts: np.ndarray     # float64
@@ -201,6 +200,57 @@ def _grouped(owner: np.ndarray, cols: np.ndarray, width: int):
 
 def _split(flat: np.ndarray, ptr: list[int]) -> list[np.ndarray]:
     return [flat[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+
+
+def _join(
+    cols: list[np.ndarray], width: int, us: np.ndarray, vs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The columns shared by rows ``us[i]`` and ``vs[i]`` of every pair.
+
+    ``cols`` holds one sorted column array per row (all ``< width``).  The
+    rows are laid end to end as keys ``row * width + col``, which are
+    therefore sorted globally; every pair re-bases its shorter row's
+    columns onto the longer row and finds them among those keys with one
+    ``searchsorted`` for the whole list.
+
+    Returns ``(pair, at_u, at_v, col)``, one entry per shared column: the
+    pair index, the flat positions of the column in the ``us`` and ``vs``
+    rows, and the column id.  Hits are pair-major and in ascending column
+    within a pair, so a ``bincount`` over ``pair`` sums each pair's terms
+    in column order.
+    """
+    lengths = np.fromiter(
+        (c.size for c in cols), dtype=np.int64, count=len(cols)
+    )
+    ptr = np.zeros(len(cols) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    flat = np.concatenate(cols)
+    width = max(width, 1)
+    keys = np.repeat(np.arange(len(cols), dtype=np.int64) * width, lengths)
+    keys += flat
+    u_short = lengths[us] <= lengths[vs]
+    short = np.where(u_short, us, vs)
+    n_probe = lengths[short]
+    pair = np.repeat(np.arange(us.size), n_probe)
+    probe = np.arange(pair.size) + np.repeat(
+        ptr[short] - (np.cumsum(n_probe) - n_probe), n_probe
+    )
+    target = np.where(u_short, vs, us)[pair] * width + flat[probe]
+    pos = np.minimum(np.searchsorted(keys, target), keys.size - 1)
+    hit = keys[pos] == target
+    pair, probe, pos = pair[hit], probe[hit], pos[hit]
+    u_probed = u_short[pair]
+    return (
+        pair,
+        np.where(u_probed, probe, pos),
+        np.where(u_probed, pos, probe),
+        flat[probe],
+    )
+
+
+def _ratio(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """``num / denom``, 0 where ``denom`` is 0."""
+    return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
 
 
 class BatchSimilarityEngine:
@@ -363,13 +413,12 @@ class BatchSimilarityEngine:
         kw_counts = np.diff(np.append(grp, n_tok)).astype(np.float64)
         if n_tok:
             years = tok_year[order].astype(np.float64)
-            lo = np.minimum.reduceat(years, grp) + _YEAR_SHIFT
-            hi = np.maximum.reduceat(years, grp) + _YEAR_SHIFT
+            lo = np.minimum.reduceat(years, grp)
+            hi = np.maximum.reduceat(years, grp)
         else:
             lo = hi = np.empty(0, dtype=np.float64)
-        # Fuse the usage-year window into one complex layer (lo + i·hi): a
-        # single sparse multiply restricts both endpoints to a pair's
-        # shared keyword support at once.
+        # Fuse the usage-year window into one complex layer (lo + i·hi):
+        # one gather reads both endpoints of a shared keyword.
         kw_lohi = lo + 1j * hi
         kw_norms = np.sqrt(
             np.bincount(kw_vertex, weights=kw_counts * kw_counts, minlength=n)
@@ -418,11 +467,10 @@ class BatchSimilarityEngine:
         """γ3 centroids: mean embedding of each vertex's distinct keywords.
 
         Bit-equal to ``WordEmbeddings.centroid``, i.e. ``ndarray.mean(axis=0)``
-        over the rows in first-occurrence order: rows are accumulated
-        position by position in that order (vertices sorted by word count,
-        so each step adds one row to a prefix of the block), then divided
-        by the count.  Norms go through the same per-vector ``dot`` as
-        ``np.linalg.norm``.
+        over the rows in first-occurrence order: each vertex's rows, in
+        that order, go through the same axis-0 ``sum`` that ``mean`` runs
+        and are divided by the count.  Norms go through the same
+        per-vector ``dot`` as ``np.linalg.norm``.
         """
         cent_of = np.full(n, -1, dtype=np.int64)
         cent_norms = np.zeros(n, dtype=np.float64)
@@ -436,18 +484,14 @@ class BatchSimilarityEngine:
         has = np.flatnonzero(counts)
         if has.size == 0:
             return None, cent_of, cent_norms
-        ptr = _ptr(owner, n)
-        by_size = has[np.argsort(-counts[has], kind="stable")]
-        sizes = counts[by_size]
-        base = ptr[by_size]
+        ptr = _ptr(owner, n).tolist()
         matrix = self._embeddings.matrix
-        acc = matrix[rows[base]]
-        for j in range(1, int(sizes[0])):
-            k = int(np.count_nonzero(sizes > j))
-            acc[:k] += matrix[rows[base[:k] + j]]
-        acc /= sizes[:, None].astype(np.float64)
-        cent_of[by_size] = np.arange(by_size.size)
-        cent_norms[by_size] = [math.sqrt(row.dot(row)) for row in acc]
+        acc = np.array(
+            [matrix[rows[ptr[i] : ptr[i + 1]]].sum(axis=0) for i in has]
+        )
+        acc /= counts[has][:, None].astype(np.float64)
+        cent_of[has] = np.arange(has.size)
+        cent_norms[has] = [math.sqrt(row.dot(row)) for row in acc]
         return acc, cent_of, cent_norms
 
     def build(
@@ -573,7 +617,7 @@ class BatchSimilarityEngine:
         slots[has] = row_slots[cent_of[has]]
         return slots
 
-# ------------------------------------------------------------------ #
+    # ------------------------------------------------------------------ #
     # batched γ evaluation
     # ------------------------------------------------------------------ #
     def gamma_matrix(
@@ -632,8 +676,6 @@ class BatchSimilarityEngine:
         us = np.searchsorted(vids, pairs_arr[:, 0])
         vs = np.searchsorted(vids, pairs_arr[:, 1])
 
-        # One pass over the per-vertex scalars; the keyword family is
-        # assembled once and shared by γ3 (counts) and γ4 (year windows).
         scalars = np.array(
             [
                 (
@@ -653,120 +695,74 @@ class BatchSimilarityEngine:
         )
         tau = np.maximum(1.0, np.minimum(n_papers[us], n_papers[vs]))
 
-        kw_counts, kw_ind, kw_lohi = self._family(
-            [a.kw_cols for a in rows],
-            [[a.kw_counts for a in rows], None, [a.kw_lohi for a in rows]],
-            len(self._kw),
-        )
+        def pair_sums(pair: np.ndarray, terms: np.ndarray) -> np.ndarray:
+            # (bincount of an empty list is integer even with weights)
+            sums = np.bincount(pair, weights=terms, minlength=n)
+            return sums.astype(np.float64, copy=False)
 
-        out[:, 0] = self._gamma1(rows, us, vs, wl_norms)
-        out[:, 1] = self._gamma2(rows, us, vs) / tau
-        out[:, 2] = self._gamma3(
-            us, vs, kw_counts, kw_norms, cent_norms, cent_slots
+        # γ1 — WL feature-map dot product
+        pair, at_u, at_v, _ = _join(
+            [a.wl_cols for a in rows], len(self.wl_labels), us, vs
         )
-        out[:, 3] = self._gamma4(us, vs, kw_ind, kw_lohi, alpha) / tau
-        gamma5, gamma6 = self._gamma56(rows, us, vs, top_cols)
-        out[:, 4] = gamma5 / tau
-        out[:, 5] = gamma6 / tau
+        wl = np.concatenate([a.wl_counts for a in rows])
+        out[:, 0] = _ratio(
+            pair_sums(pair, wl[at_u] * wl[at_v]), wl_norms[us] * wl_norms[vs]
+        )
+        # γ2 — shared triangles
+        pair = _join([a.tri_cols for a in rows], len(self._tri), us, vs)[0]
+        out[:, 1] = np.bincount(pair, minlength=n) / tau
+
+        # γ3's multiset fallback and γ4 read the same keyword hits.
+        pair, at_u, at_v, col = _join(
+            [a.kw_cols for a in rows], len(self._kw), us, vs
+        )
+        counts = np.concatenate([a.kw_counts for a in rows])
+        fallback = _ratio(
+            pair_sums(pair, counts[at_u] * counts[at_v]),
+            kw_norms[us] * kw_norms[vs],
+        )
+        out[:, 2] = self._gamma3(us, vs, fallback, cent_norms, cent_slots)
+        # γ4 — Σ over shared keywords of e^{-α·gap} / log(1+F_B)
+        lohi = np.concatenate([a.kw_lohi for a in rows])
+        lohi_u, lohi_v = lohi[at_u], lohi[at_v]
+        gap = np.maximum(
+            np.maximum(lohi_u.real, lohi_v.real)
+            - np.minimum(lohi_u.imag, lohi_v.imag),
+            0.0,
+        )
+        decay = np.exp(-alpha * gap) * self._kw_weights()[col]
+        out[:, 3] = pair_sums(pair, decay) / tau
+
+        pair, at_u, at_v, col = _join(
+            [a.ven_cols for a in rows], len(self._ven), us, vs
+        )
+        venues = np.concatenate([a.ven_counts for a in rows])
+        count_u, count_v = venues[at_u], venues[at_v]
+        # γ5 — each side's count of the other's representative venue
+        top = top_cols.astype(np.int64)
+        cross = np.where(col == top[us[pair]], count_v, 0.0) + np.where(
+            col == top[vs[pair]], count_u, 0.0
+        )
+        out[:, 4] = pair_sums(pair, cross) / tau
+        # γ6 — min-count overlap on the shared venues, Adamic/Adar weighted
+        overlap = np.minimum(count_u, count_v) * self._ven_weights()[col]
+        out[:, 5] = pair_sums(pair, overlap) / tau
         # Release transient centroid slots only now — γ3 read them above.
         for arrays in borrowed:
             if arrays.cent_slot >= 0:
                 self._cent_free.append(arrays.cent_slot)
         return out
 
-    # -- assembly helpers ---------------------------------------------- #
-    @staticmethod
-    def _family(
-        cols: list[np.ndarray],
-        data: Sequence[list[np.ndarray] | None],
-        width: int,
-    ) -> list[sparse.csr_matrix]:
-        """CSR matrices (one row per vertex) sharing a sparsity structure.
-
-        Every returned matrix reuses the same ``indptr``/``indices`` built
-        from the per-vertex column arrays; each entry of ``data`` supplies
-        one value layer (``None`` → binary indicator).  Column arrays are
-        pre-sorted per vertex, so the results are canonical.
-        """
-        lengths = np.fromiter(
-            (c.size for c in cols), dtype=np.int64, count=len(cols)
-        )
-        indptr = np.zeros(len(cols) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        indices = (
-            np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-        )
-        shape = (len(cols), max(width, 1))
-        out: list[sparse.csr_matrix] = []
-        for layer in data:
-            if layer is None:
-                values = np.ones(indices.size, dtype=np.float64)
-            elif layer:
-                values = np.concatenate(layer)
-            else:
-                values = np.empty(0, dtype=np.float64)
-            mat = sparse.csr_matrix(shape, dtype=values.dtype)
-            mat.data, mat.indices, mat.indptr = values, indices, indptr
-            mat.has_sorted_indices = True
-            out.append(mat)
-        return out
-
-    @staticmethod
-    def _row_sums(product: sparse.spmatrix, n: int) -> np.ndarray:
-        return np.asarray(product.sum(axis=1), dtype=np.float64).reshape(n)
-
-    @staticmethod
-    def _aligned_data(mat: sparse.csr_matrix) -> sparse.csr_matrix:
-        """Canonicalise so ``.data`` arrays of same-support matrices align."""
-        if not mat.has_canonical_format:
-            mat.sum_duplicates()
-        if not mat.has_sorted_indices:
-            mat.sort_indices()
-        return mat
-
-    # -- individual similarities --------------------------------------- #
-    def _gamma1(
-        self,
-        rows: list[VertexArrays],
-        us: np.ndarray,
-        vs: np.ndarray,
-        wl_norms: np.ndarray,
-    ) -> np.ndarray:
-        (wl,) = self._family(
-            [a.wl_cols for a in rows],
-            [[a.wl_counts for a in rows]],
-            len(self.wl_labels),
-        )
-        dots = self._row_sums(wl[us].multiply(wl[vs]), len(us))
-        denom = wl_norms[us] * wl_norms[vs]
-        return np.divide(
-            dots, denom, out=np.zeros_like(dots), where=denom > 0.0
-        )
-
-    def _gamma2(
-        self, rows: list[VertexArrays], us: np.ndarray, vs: np.ndarray
-    ) -> np.ndarray:
-        (tri,) = self._family(
-            [a.tri_cols for a in rows], [None], len(self._tri)
-        )
-        return self._row_sums(tri[us].multiply(tri[vs]), len(us))
-
     def _gamma3(
         self,
         us: np.ndarray,
         vs: np.ndarray,
-        kw_counts: sparse.csr_matrix,
-        kw_norms: np.ndarray,
+        fallback: np.ndarray,
         cent_norms: np.ndarray,
         cent_slots: np.ndarray,
     ) -> np.ndarray:
-        n = len(us)
-        dots = self._row_sums(kw_counts[us].multiply(kw_counts[vs]), n)
-        denom = kw_norms[us] * kw_norms[vs]
-        fallback = np.divide(
-            dots, denom, out=np.zeros_like(dots), where=denom > 0.0
-        )
-
+        """Centroid cosine where both sides have a centroid, else
+        ``fallback`` (the keyword-multiset cosine)."""
         slots_u = cent_slots[us].astype(np.int64)
         slots_v = cent_slots[vs].astype(np.int64)
         pair_dense = (slots_u >= 0) & (slots_v >= 0)
@@ -780,81 +776,5 @@ class BatchSimilarityEngine:
             store[np.maximum(slots_u, 0)],
             store[np.maximum(slots_v, 0)],
         )
-        cdenom = cent_norms[us] * cent_norms[vs]
-        dense = np.divide(
-            cdots, cdenom, out=np.zeros_like(cdots), where=cdenom > 0.0
-        )
+        dense = _ratio(cdots, cent_norms[us] * cent_norms[vs])
         return np.where(pair_dense, dense, fallback)
-
-    def _gamma4(
-        self,
-        us: np.ndarray,
-        vs: np.ndarray,
-        kw_ind: sparse.csr_matrix,
-        kw_lohi: sparse.csr_matrix,
-        alpha: float,
-    ) -> np.ndarray:
-        """Σ over shared keywords of ``e^{-α·gap} / log(1+F_B)`` per pair.
-
-        The complex year-window layer (lo + i·hi) is restricted to each
-        pair's shared keyword support by one binary-indicator multiply per
-        side; the two restrictions have identical canonical sparsity, so
-        their ``.data`` arrays align element-for-element and the decayed
-        sum reduces to one ``bincount``.
-        """
-        n = len(us)
-        win_u = self._aligned_data(kw_lohi[us].multiply(kw_ind[vs]).tocsr())
-        win_v = self._aligned_data(kw_lohi[vs].multiply(kw_ind[us]).tocsr())
-        if win_u.nnz == 0:
-            return np.zeros(n, dtype=np.float64)
-        gap = np.maximum(
-            np.maximum(win_u.data.real, win_v.data.real)
-            - np.minimum(win_u.data.imag, win_v.data.imag),
-            0.0,
-        )
-        weights = self._kw_weights()[win_u.indices]
-        contrib = np.exp(-alpha * gap) * weights
-        pair_rows = np.repeat(np.arange(n), np.diff(win_u.indptr))
-        return np.bincount(pair_rows, weights=contrib, minlength=n)
-
-    def _gamma56(
-        self,
-        rows: list[VertexArrays],
-        us: np.ndarray,
-        vs: np.ndarray,
-        top_cols: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """γ5 (representative-venue cross counts) and γ6 (Adamic/Adar).
-
-        Both read the venue-count family, so they share one assembly.
-        Returned values are pre-``τ`` sums.
-        """
-        n = len(us)
-        ven, ind = self._family(
-            [a.ven_cols for a in rows],
-            [[a.ven_counts for a in rows], None],
-            len(self._ven),
-        )
-        # γ5 — vectorised element lookup of each side's representative venue
-        top = top_cols.astype(np.int64)
-        gamma5 = np.zeros(n, dtype=np.float64)
-        mask_u = top[us] >= 0
-        if mask_u.any():
-            gamma5[mask_u] += np.asarray(
-                ven[vs[mask_u], top[us][mask_u]], dtype=np.float64
-            ).reshape(-1)
-        mask_v = top[vs] >= 0
-        if mask_v.any():
-            gamma5[mask_v] += np.asarray(
-                ven[us[mask_v], top[vs][mask_v]], dtype=np.float64
-            ).reshape(-1)
-        # γ6 — min-count overlap on the shared venue support
-        cnt_u = self._aligned_data(ven[us].multiply(ind[vs]).tocsr())
-        cnt_v = self._aligned_data(ven[vs].multiply(ind[us]).tocsr())
-        if cnt_u.nnz == 0:
-            return gamma5, np.zeros(n, dtype=np.float64)
-        mins = np.minimum(cnt_u.data, cnt_v.data)
-        weights = self._ven_weights()[cnt_u.indices]
-        pair_rows = np.repeat(np.arange(n), np.diff(cnt_u.indptr))
-        gamma6 = np.bincount(pair_rows, weights=mins * weights, minlength=n)
-        return gamma5, gamma6

@@ -19,20 +19,21 @@ per-occurrence mention model are exactly the papers of the mentions the
 vertex owns — one occurrence per paper, so a homonym paper contributes its
 title/venue/year evidence to *both* co-author vertices, once each.
 
-Scoring has two paths:
+Scoring has one path and one test oracle:
 
-* :meth:`SimilarityComputer.similarity_vector` — the scalar reference path,
-  one pair at a time through the per-function modules above, reading a
-  cached :class:`VertexProfile` per vertex (keywords, venues, years,
-  triangles, WL features);
-* :meth:`SimilarityComputer.pair_matrix` — the batched path, which builds
-  the columns of every cache-missing vertex of a call in one vectorised
-  pass (:meth:`SimilarityComputer._build_columns` gathers papers, WL
-  labels and triangles; :meth:`.batch.BatchSimilarityEngine.build` reduces
-  them) and evaluates all six γ's for a whole pair list with vectorised
-  sparse kernels.  It never builds a :class:`VertexProfile`.  Small pair
-  lists (below ``batch_threshold``) stay on the scalar path, where the
-  fixed cost of assembling sparse operands is not worth paying.
+* :meth:`SimilarityComputer.pair_matrix` — the scoring path for every pair
+  list, whatever its length.  It builds the columns of every cache-missing
+  vertex of a call in one vectorised pass
+  (:meth:`SimilarityComputer._build_columns` gathers papers, WL labels and
+  triangles; :meth:`.batch.BatchSimilarityEngine.build` reduces them) and
+  evaluates all six γ's for the whole list with the numpy join kernel of
+  :mod:`.batch`.  It never builds a :class:`VertexProfile`.
+* :meth:`SimilarityComputer.similarity_vector` (and
+  :meth:`SimilarityComputer.pair_matrix_perpair` over a list) — the scalar
+  reference, one pair at a time through the per-function modules above,
+  reading a cached :class:`VertexProfile` per vertex (keywords, venues,
+  years, triangles, WL features).  Only tests and benchmarks call it, as
+  the oracle the join kernel is checked against.
 
 Cache invalidation: profiles and columns depend on the vertex's own
 papers *and* on its radius-``wl_iterations`` neighbourhood (WL features
@@ -103,7 +104,6 @@ class SimilarityComputer:
         wl_iterations: int = 2,
         decay_alpha: float = 0.62,
         frequent_keywords: frozenset[str] = frozenset(),
-        batch_threshold: int = 16,
         venue_frequencies: Mapping[str, int] | None = None,
     ):
         """
@@ -117,10 +117,6 @@ class SimilarityComputer:
             wl_iterations: ``h`` of the WL kernel (Eq. 3).
             decay_alpha: α of Eq. 7 (0.62 in the paper, from FutureRank).
             frequent_keywords: Words excluded from keyword profiles.
-            batch_threshold: Pair lists at least this long are scored by the
-                vectorised :mod:`.batch` engine; shorter lists take the
-                scalar path, whose per-pair cost undercuts the fixed
-                sparse-assembly overhead.
             venue_frequencies: ``F_H`` of Eq. 9; taken from ``corpus`` when
                 omitted.  Shard workers pass the *whole-corpus* tables here
                 (and in ``word_frequencies``) while scoring against a
@@ -132,7 +128,6 @@ class SimilarityComputer:
         self.wl_iterations = wl_iterations
         self.decay_alpha = decay_alpha
         self.frequent_keywords = frequent_keywords
-        self.batch_threshold = batch_threshold
         if word_frequencies is None:
             word_frequencies = corpus_word_frequencies(
                 p.title for p in corpus
@@ -418,24 +413,22 @@ class SimilarityComputer:
     ) -> np.ndarray:
         """Similarity vectors for many pairs, stacked into ``(n, 6)``.
 
-        Dispatches to the vectorised :mod:`.batch` engine when the list is
-        long enough to amortise its fixed assembly cost (see
-        ``batch_threshold``); both paths agree to well below 1e-9.
+        Every list, of any length, is scored by
+        :meth:`pair_matrix_batched`; the scalar oracle
+        :meth:`pair_matrix_perpair` agrees with it to well below 1e-9.
 
         ``transient`` names score-once-and-discard vertices: their
-        profiles and columnar arrays are built for this call but do not
-        linger in either cache afterwards.  Use it when the vertices
-        will never be scored again; callers that re-read their probes
-        (the streaming walk patches stale pairs against the same probes
-        later) deliberately leave them cacheable.
+        columnar arrays are built for this call but do not linger in the
+        cache afterwards.  Use it when the vertices will never be scored
+        again; callers that re-read their probes (the streaming walk
+        patches stale pairs against the same probes later) deliberately
+        leave them cacheable.
 
         ``out`` optionally supplies the ``(n, 6)`` float64 result buffer
         — the sharded executor's workers pass shared-memory views here
         so γ results never round-trip through pickle.
         """
-        if len(pairs) >= self.batch_threshold:
-            return self.pair_matrix_batched(pairs, transient=transient, out=out)
-        return self.pair_matrix_perpair(pairs, transient=transient, out=out)
+        return self.pair_matrix_batched(pairs, transient=transient, out=out)
 
     def pair_matrix_perpair(
         self,
@@ -443,7 +436,10 @@ class SimilarityComputer:
         transient: frozenset[int] = frozenset(),
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Reference scalar path: one :meth:`similarity_vector` per pair."""
+        """Scalar oracle: one :meth:`similarity_vector` per pair.
+
+        ``transient`` vertices' profiles are dropped on return.
+        """
         if out is None:
             out = np.empty((len(pairs), N_SIMILARITIES), dtype=np.float64)
         elif out.shape != (len(pairs), N_SIMILARITIES):
@@ -464,13 +460,10 @@ class SimilarityComputer:
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Vectorised path: all six γ's over the whole list at once."""
-        gammas = self._engine.gamma_matrix(
+        return self._engine.gamma_matrix(
             pairs,
             self._build_columns,
             self.decay_alpha,
             transient=transient,
             out=out,
         )
-        for vid in transient:
-            self._profiles.pop(vid, None)
-        return gammas

@@ -125,19 +125,30 @@ class TestParity:
         )
 
 
-class TestDispatch:
-    def test_threshold_routes_small_lists_to_scalar_path(
-        self, scn, small_corpus
+class TestOnePath:
+    @pytest.mark.parametrize("branch", ["fallback", "centroid"])
+    @pytest.mark.parametrize("n_pairs", range(1, 16))
+    def test_short_lists_take_the_join_kernel(
+        self, scn, small_corpus, embeddings, branch, n_pairs
     ):
-        pairs = _all_pairs(scn)[:4]
-        low = SimilarityComputer(
-            scn, small_corpus, embeddings=None, batch_threshold=1
+        """Every list, however short, is scored by the batched engine:
+        equal to ``pair_matrix_batched``, within 1e-9 of the scalar
+        oracle, and no ``VertexProfile`` is built on the way."""
+        computer = SimilarityComputer(
+            scn,
+            small_corpus,
+            embeddings=embeddings if branch == "centroid" else None,
         )
-        high = SimilarityComputer(
-            scn, small_corpus, embeddings=None, batch_threshold=100
+        candidates = _all_pairs(scn)
+        self_pair = (candidates[0][1], candidates[0][1])
+        pairs = candidates[: n_pairs - 1] + [self_pair]
+        scored = computer.pair_matrix(pairs)
+        assert not computer._profiles
+        np.testing.assert_array_equal(
+            scored, computer.pair_matrix_batched(pairs)
         )
         np.testing.assert_allclose(
-            low.pair_matrix(pairs), high.pair_matrix(pairs), rtol=0.0, atol=ATOL
+            scored, computer.pair_matrix_perpair(pairs), rtol=0.0, atol=ATOL
         )
 
 
@@ -202,12 +213,10 @@ class TestEngineCache:
 
     def test_transient_scalar_path_drops_profiles(self, small_corpus):
         net, _ = build_scn(small_corpus, eta=2)
-        computer = SimilarityComputer(
-            net, small_corpus, embeddings=None, batch_threshold=10**9
-        )
+        computer = SimilarityComputer(net, small_corpus, embeddings=None)
         pairs = _all_pairs(net)[:4]
         probes = frozenset(u for u, _v in pairs)
-        computer.pair_matrix(pairs, transient=probes)
+        computer.pair_matrix_perpair(pairs, transient=probes)
         for vid in probes:
             assert not computer.is_cached(vid)
 

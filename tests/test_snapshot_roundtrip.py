@@ -19,7 +19,13 @@ import pytest
 
 from repro.core import IUAD, IUADConfig, StreamingIngestor
 from repro.graphs.collab import CollaborationNetwork, combine_networks
-from repro.io import Snapshot, snapshot_header, snapshot_of, verify_snapshot
+from repro.io import (
+    Snapshot,
+    read_document,
+    snapshot_header,
+    snapshot_of,
+    verify_snapshot,
+)
 from repro.io.schema import (
     decode_config,
     decode_network,
@@ -295,9 +301,11 @@ def test_truncated_snapshot_fails_alike_at_every_entry_point(
 # --------------------------------------------------------------------- #
 # backward compatibility: the committed v1 fixture
 # --------------------------------------------------------------------- #
-def test_v1_fixture_still_loads_and_serves():
+def test_v1_fixture_still_loads_and_serves(tmp_path):
     """The committed v1 snapshot (see ``fixtures/make_snapshot_fixture.py``)
-    must keep loading verbatim in every future build."""
+    must keep loading verbatim in every future build.  Its retired
+    ``computer.batch_threshold`` key is ignored on read and not written
+    back when the resumed state is saved."""
     from repro.data.records import Paper
 
     snapshot = Snapshot.load(FIXTURE)
@@ -312,6 +320,13 @@ def test_v1_fixture_still_loads_and_serves():
     )
     assert len(assignments) == 2
     assert len(resumed.iuad.gcn_) >= before
+
+    resaved = snapshot_of(resumed.iuad, stream=resumed.report).save(
+        tmp_path / "resaved.jsonl"
+    )
+    computer = read_document(resaved)["sections"]["computer"]
+    assert "batch_threshold" not in computer
+    assert verify_snapshot(Snapshot.load(resaved)) == []
 
 
 # --------------------------------------------------------------------- #
