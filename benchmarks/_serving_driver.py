@@ -17,8 +17,8 @@ read/ingest workload:
    acceptance claim lives here: read p99 must stay within 5× the idle
    p99, because reads only ever touch the immutable published view.
 4. **Parity** — after the load, ``GET /clusters`` dumps the server's
-   clustering, which must match a *serial* ``add_paper``-equivalent
-   replay of the same ingest sequence on a local restore of the same
+   clustering, which must match a *serial* one-mention-at-a-time
+   oracle replay (``sequential_add_paper``) of the same ingest sequence on a local restore of the same
    snapshot, exactly (vids included).
 
 Used by ``benchmarks/test_serving.py`` (which owns quick/full mode and
@@ -325,19 +325,20 @@ def serial_replay_clusters(
 ) -> dict[str, dict[int, tuple]]:
     """Restore the snapshot locally and replay the ingest serially.
 
-    Uses the sequential ``add_paper`` loop — the reference the
-    ``add_papers`` parity contract is stated against — so an exact match
-    proves the server's burst coalescing changed nothing.
+    Uses the per-mention oracle ``sequential_add_paper`` — the
+    reference the ``add_papers`` parity contract is stated against — so
+    an exact match proves the server's burst coalescing changed nothing.
     """
-    from repro.core import IncrementalDisambiguator
+    from repro.core import StreamingIngestor
+    from repro.core.incremental import sequential_add_paper
     from repro.io import Snapshot
     from repro.io.schema import decode_paper
     from repro.service import FittedView
 
     estimator = Snapshot.load(snapshot_path).restore()
-    stream = IncrementalDisambiguator(estimator)
+    stream = StreamingIngestor(estimator)
     for record in papers:
-        stream.add_paper(decode_paper(record))
+        sequential_add_paper(stream, decode_paper(record))
     view = FittedView.of(estimator)
     return canonical_clusters(view.as_clusters_dict())
 

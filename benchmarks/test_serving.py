@@ -144,7 +144,7 @@ def test_serving_load(tmp_path):
     # ---- parity: served clustering == serial replay, exactly ---------- #
     replay = serial_replay_clusters(snapshot_path, world["papers"])
     assert results["server_clusters"] == replay, (
-        "served clustering diverged from the serial add_paper replay of "
+        "served clustering diverged from the serial oracle replay of "
         "the same ingest sequence"
     )
 
@@ -175,7 +175,7 @@ def test_serving_load(tmp_path):
         ),
         final_generation=results["final_generation"],
         server_stats=results["server_stats"],
-        parity="served /clusters identical to serial add_paper replay",
+        parity="served /clusters identical to serial oracle replay",
         serving=summary,
     )
     assert payload["serving"]["n_swaps"] == results["n_swaps"]

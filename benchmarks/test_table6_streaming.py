@@ -3,10 +3,11 @@
 Extends the Table-VI story (incremental cost per paper) to bursty
 streams: a 1k-paper burst is ingested through
 ``StreamingIngestor.add_papers`` and compared against the sequential
-``add_paper`` loop and against the pure *scalar* loop (the same loop
-with ``pair_matrix`` bound to the per-pair oracle ``pair_matrix_perpair``,
-i.e. one ``similarity_vector`` call per candidate pair — the pre-batching
-code path the motivation describes).
+loop — the per-mention test oracle ``sequential_add_paper`` — and
+against the pure *scalar* loop (the same oracle with ``pair_matrix``
+bound to the per-pair oracle ``pair_matrix_perpair``, i.e. one
+``similarity_vector`` call per candidate pair — the pre-batching code
+path the motivation describes).
 
 What the record claims, and how honestly it can claim it:
 
@@ -43,7 +44,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import IUAD, IUADConfig, IncrementalDisambiguator, StreamingIngestor
+from repro.core import IUAD, IUADConfig, StreamingIngestor
+from repro.core.incremental import sequential_add_paper
 from repro.data import Corpus
 from repro.data.synthetic import SyntheticConfig, SyntheticDBLP
 from repro.eval.timing import StageTimer, streaming_summary, write_benchmark_json
@@ -163,18 +165,18 @@ def test_streaming_burst(benchmark):
         best["stream_batched"].append(time.perf_counter() - t0)
 
         seq = copy.deepcopy(fitted)
-        seq_stream = IncrementalDisambiguator(seq)
+        seq_stream = StreamingIngestor(seq)
         t0 = time.perf_counter()
-        seq_assignments = [seq_stream.add_paper(p) for p in burst]
+        seq_assignments = [sequential_add_paper(seq_stream, p) for p in burst]
         best["stream_sequential"].append(time.perf_counter() - t0)
 
         sca = copy.deepcopy(fitted)
         # the pure scalar loop: every list through the per-pair oracle
         sca.computer_.pair_matrix = sca.computer_.pair_matrix_perpair
-        sca_stream = IncrementalDisambiguator(sca)
+        sca_stream = StreamingIngestor(sca)
         t0 = time.perf_counter()
         for paper in burst:
-            sca_stream.add_paper(paper)
+            sequential_add_paper(sca_stream, paper)
         best["stream_scalar_loop"].append(time.perf_counter() - t0)
     for stage, seconds in best.items():
         timer.record(stage, min(seconds))

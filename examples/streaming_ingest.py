@@ -4,8 +4,10 @@
 Builds the GCN on older papers, then ingests the most recent papers as
 one burst through ``StreamingIngestor.add_papers`` — scored by a single
 vectorised snapshot call, applied in batch order with exact stain
-tracking — and cross-checks the result against the sequential
-``add_paper`` loop (the parity contract).
+tracking — and cross-checks the result against the paper-faithful
+one-mention-at-a-time oracle, ``repro.core.incremental.
+sequential_add_paper`` (the parity contract; ``add_paper`` itself is a
+one-paper ``add_papers`` call, the same path as the burst).
 
 Run:  python examples/streaming_ingest.py
 """
@@ -13,7 +15,8 @@ Run:  python examples/streaming_ingest.py
 import copy
 import time
 
-from repro.core import IUAD, IUADConfig, IncrementalDisambiguator, StreamingIngestor
+from repro.core import IUAD, IUADConfig, StreamingIngestor
+from repro.core.incremental import sequential_add_paper
 from repro.data import Corpus, build_testing_dataset, generate_world
 from repro.data.testing import split_for_incremental
 
@@ -32,7 +35,7 @@ def main() -> None:
 
     iuad = IUAD(IUADConfig()).fit(base_corpus, names=testing.names)
     # streaming mutates the fitted corpus/network: keep a pristine copy
-    # for the sequential cross-check below
+    # for the oracle cross-check below
     seq_iuad = copy.deepcopy(iuad)
 
     # --- batched: the whole burst in one call -------------------------- #
@@ -55,11 +58,11 @@ def main() -> None:
         f"re-scored inline ({attached} mentions attached)"
     )
 
-    # --- parity: the sequential loop produces the identical network ---- #
-    sequential = IncrementalDisambiguator(seq_iuad)
+    # --- parity: the per-mention oracle produces the identical network - #
+    sequential = StreamingIngestor(seq_iuad)
     t0 = time.perf_counter()
     for paper in burst:
-        sequential.add_paper(paper)
+        sequential_add_paper(sequential, paper)
     sequential_seconds = time.perf_counter() - t0
 
     def state(gcn):
@@ -69,11 +72,12 @@ def main() -> None:
 
     identical = state(iuad.gcn_) == state(seq_iuad.gcn_)
     print(
-        f"sequential loop: {sequential_seconds:.2f}s "
+        f"sequential oracle (sequential_add_paper): "
+        f"{sequential_seconds:.2f}s "
         f"({1000 * sequential_seconds / len(burst):.1f} ms/paper) — "
         f"identical GCN: {identical}"
     )
-    assert identical, "parity violation: batched != sequential"
+    assert identical, "parity violation: batched != sequential oracle"
 
     # re-ingesting the same burst is governed by duplicate_paper_policy
     # ("raise" by default; "return" replays the mentions' current owners)

@@ -7,7 +7,7 @@ from .candidates import (
     sample_training_pairs,
 )
 from .config import IUADConfig
-from .incremental import Assignment, IncrementalDisambiguator, IncrementalReport
+from .incremental import IncrementalDisambiguator
 from .iuad import (
     IUAD,
     FitReport,
@@ -23,7 +23,12 @@ from .sharding import (
     ShardedIUAD,
     plan_shards,
 )
-from .streaming import BatchStats, StreamingIngestor
+from .streaming import (
+    Assignment,
+    BatchStats,
+    IncrementalReport,
+    StreamingIngestor,
+)
 
 __all__ = [
     "Assignment",

@@ -97,7 +97,7 @@ class IUADConfig:
             Either way a duplicate can no longer corrupt the
             one-mention-per-paper invariant by being attached twice.
         incremental_timing_window: How many recent per-paper wall-clock
-            samples :class:`repro.core.incremental.IncrementalReport`
+            samples :class:`repro.core.streaming.IncrementalReport`
             retains (a bounded rolling window).  The Table-VI average
             stays exact via running sums regardless of the window size;
             the window only bounds memory on long streams.

@@ -1,422 +1,69 @@
-"""Incremental single-paper disambiguation (Section V-E).
+"""Incremental disambiguation (Section V-E) and its one-at-a-time oracle.
 
-A newly published paper ``p`` carrying name ``a`` is first treated as an
-isolated vertex ``v_a``.  Its similarity vector against every existing GCN
-vertex of name ``a`` is scored with the *already learned* parameters; the
-mention is attached to the argmax vertex ``v_k`` iff
+Production ingestion has one path: :class:`~repro.core.streaming.
+StreamingIngestor`, whose module documents the rule and the batched
+walk.  :data:`IncrementalDisambiguator` is the same class under the
+paper's name, and its ``add_paper(p)`` is ``add_papers([p])[0]``.
 
-1. ``sc_k ≥ sc_i`` for every other candidate ``v_i`` (argmax), and
-2. ``sc_k ≥ δ``.
-
-Otherwise ``v_a`` stays a new isolated vertex.  No retraining happens —
-this is the property that makes IUAD incremental (Table VI measures the
-cost at < 50 ms per paper).
-
-Mention identity is positional: each occurrence of ``p``'s co-author list
-is disambiguated separately, and candidate vertices are filtered by the
-one-mention-per-paper invariant — a vertex that already owns an occurrence
-of ``p`` is structurally barred from its later occurrences, so a paper
-listing the same name twice (two homonymous co-authors) always yields two
-distinct vertices.
-
-The per-mention decision is factored into three reusable phases so the
-batched streaming path (:mod:`repro.core.streaming`) can interleave them
-across many papers while staying in exact parity with this scalar loop:
-
-* **candidates** — :meth:`IncrementalDisambiguator._candidate_vids`
-  enumerates the admissible same-name vertices (structural
-  one-mention-per-paper filter, plus an optional exclusion set for
-  not-yet-applied batch probes);
-* **score** — the caller scores ``(probe, candidate)`` pairs however it
-  likes (one paper at a time here, one batched call per wave there);
-* **apply** — :meth:`IncrementalDisambiguator._apply_assignment` makes
-  the argmax-plus-threshold decision and mutates the network.  Ties on
-  the matching score are broken by the *lowest vertex id*, never by
-  candidate enumeration order, so equal-score candidates attach
-  identically after a shard stitch and after a whole-corpus fit (whose
-  name-index orders differ).
-
-Re-ingesting an already-known pid is governed by
-``IUADConfig.duplicate_paper_policy``: ``"raise"`` rejects it before any
-state is touched, ``"return"`` answers idempotently with the current
-owners of the paper's mentions.  Either way the duplicate can never be
-attached twice (which would break the one-mention-per-paper invariant).
-
-Cache hygiene: every attachment or recovered edge invalidates the profile
-caches of all vertices within ``wl_iterations`` hops of the touched
-endpoints (WL features span that radius — see
-``SimilarityComputer.invalidate``).
+This module keeps the paper-faithful per-mention loop,
+:func:`sequential_add_paper`, as the parity oracle that the tests and the
+Table VI streaming benchmark compare ``add_papers`` against.  No
+production module calls it.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..data.records import Paper
 from ..model.scoring import match_scores
-from .iuad import IUAD
+from .streaming import Assignment, StreamingIngestor
+
+IncrementalDisambiguator = StreamingIngestor
 
 
-@dataclass(slots=True)
-class Assignment:
-    """Outcome of disambiguating one mention of a new paper."""
+def sequential_add_paper(
+    ingestor: StreamingIngestor, paper: Paper
+) -> list[Assignment]:
+    """Section V-E one mention at a time: the oracle of ``add_papers``.
 
-    name: str
-    position: int  # occurrence index into the paper's co-author list
-    vid: int
-    created: bool  # True when a fresh vertex was created
-    score: float   # best Eq. 11 score (−inf when no candidates existed;
-                   # nan for an idempotent duplicate replay)
-
-
-@dataclass(slots=True)
-class IncrementalReport:
-    """Stream statistics: papers processed and time spent.
-
-    ``n_mentions`` counts occurrences — a paper listing one name twice
-    contributes two mentions, matching the per-occurrence model everywhere
-    else in the pipeline.
-
-    ``per_shard_papers`` is filled only when the fitted estimator carries
-    a shard index (:class:`repro.core.sharding.ShardedIUAD`): it counts
-    streamed papers per owning (canonical) shard id, the locality
-    evidence that every insert touched exactly one name block.
-
-    Timing is bounded: only the last ``timing_window`` per-paper samples
-    are retained (:attr:`per_paper_seconds`), so a million-paper stream
-    never holds a million floats.  :attr:`avg_ms_per_paper` stays *exact*
-    regardless, because it divides the running ``seconds`` sum by
-    ``n_papers`` rather than summing the window.
-
-    ``n_batches`` / ``n_waves`` are filled by the batched streaming path
-    (:class:`repro.core.streaming.StreamingIngestor`): how many
-    ``add_papers`` bursts were ingested, and how many vectorised
-    snapshot-scoring rounds they ran (one per non-empty burst).
-    ``n_duplicates`` counts idempotent duplicate replays
-    (``duplicate_paper_policy="return"``).
+    Each mention gets its own ``pair_matrix`` call against the live
+    network, and every recovered edge drops the whole radius-``h`` ball
+    of its endpoints (``SimilarityComputer.invalidate_many``) instead of
+    the exact value stain.  The decision phases are the ingestor's own.
+    Report counters move as ``add_papers`` moves them, except
+    ``n_batches``/``n_waves``; the writer lock, the delta journal and
+    auto-checkpoints are bypassed.
     """
-
-    n_papers: int = 0
-    n_mentions: int = 0
-    n_attached: int = 0
-    n_created: int = 0
-    n_duplicates: int = 0
-    n_batches: int = 0
-    n_waves: int = 0
-    seconds: float = 0.0
-    timing_window: int = 4096
-    per_shard_papers: dict[int, int] = field(default_factory=dict)
-    _recent_seconds: deque = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.timing_window < 1:
-            raise ValueError(
-                f"timing_window must be >= 1, got {self.timing_window}"
-            )
-        self._recent_seconds = deque(maxlen=self.timing_window)
-
-    def record_paper_seconds(self, elapsed: float) -> None:
-        """Account one paper's wall-clock: exact sum + rolling window."""
-        self.seconds += elapsed
-        self._recent_seconds.append(elapsed)
-
-    @property
-    def per_paper_seconds(self) -> list[float]:
-        """The most recent per-paper wall-clock samples (bounded window).
-
-        At most ``timing_window`` entries — the tail of the stream, not
-        its full history.  Use :attr:`avg_ms_per_paper` for the exact
-        whole-stream average.
-        """
-        return list(self._recent_seconds)
-
-    @property
-    def avg_ms_per_paper(self) -> float:
-        """Average wall-clock per paper in milliseconds (Table VI row).
-
-        Exact over the whole stream (running sums, independent of the
-        bounded sample window).  Guarded for the empty stream: a report
-        that has processed no papers yet answers ``0.0`` instead of
-        dividing by zero.
-        """
-        if self.n_papers == 0:
-            return 0.0
-        return 1000.0 * self.seconds / self.n_papers
-
-    @property
-    def recent_avg_ms_per_paper(self) -> float:
-        """Average over the retained window only (recent-cost telemetry)."""
-        if not self._recent_seconds:
-            return 0.0
-        return 1000.0 * sum(self._recent_seconds) / len(self._recent_seconds)
-
-
-class IncrementalDisambiguator:
-    """Streams newly published papers into a fitted IUAD's GCN."""
-
-    def __init__(self, iuad: IUAD):
-        if iuad.gcn_ is None or iuad.model_ is None or iuad.computer_ is None:
-            raise ValueError("IUAD must be fitted before incremental use")
-        self.iuad = iuad
-        self.report = IncrementalReport(
-            timing_window=iuad.config.incremental_timing_window
-        )
-        # A sharded fit exposes its name-block routing; streaming inserts
-        # are then accounted to (and structurally confined to) the shard
-        # owning the paper's names.  Plain IUAD fits have no index.
-        self.shard_index = getattr(iuad, "shard_index_", None)
-
-    # ------------------------------------------------------------------ #
-    def add_paper(self, paper: Paper) -> list[Assignment]:
-        """Disambiguate every mention of ``paper`` and update the GCN.
-
-        Returns one :class:`Assignment` per occurrence on the paper's
-        co-author list.  The paper is appended to the fitted corpus, each
-        mention is attached to the best-scoring same-name vertex (or
-        becomes a new vertex), and the paper's collaborative relations are
-        recovered as GCN edges.
-
-        A pid already in the corpus is handled per
-        ``config.duplicate_paper_policy`` — rejected (``"raise"``) or
-        answered idempotently with the mentions' current owners
-        (``"return"``); it is never ingested twice.
-        """
-        corpus = self.iuad.corpus_
-        gcn = self.iuad.gcn_
-        computer = self.iuad.computer_
-        model = self.iuad.model_
-        assert corpus is not None and gcn is not None
-        assert computer is not None and model is not None
-
-        if paper.pid in corpus:
-            return self._resolve_duplicate(paper)
-        t0 = time.perf_counter()
-        corpus.add(paper)
-        if self.shard_index is not None:
-            # Route through the shard index: candidate vertices are
-            # same-name, hence inside the owning block by construction;
-            # the index keeps the partition current (new names join the
-            # block, papers spanning two blocks bridge them) and the
-            # report counts the insert against the canonical shard.
-            shard = self.shard_index.route_paper(paper.authors)
-            self.report.per_shard_papers[shard] = (
-                self.report.per_shard_papers.get(shard, 0) + 1
-            )
-        assignments: list[Assignment] = []
-        for position, name in enumerate(paper.authors):
-            assignments.append(self._assign_mention(name, paper.pid, position))
-        # Recover the paper's collaborative relations between the assigned
-        # vertices (the incremental analogue of Algorithm 1 line 16), then
-        # invalidate all touched neighbourhoods in one multi-source BFS
-        # instead of one radius-h traversal per edge endpoint.
-        touched = self._recover_paper_relations(paper.pid, assignments)
-        if touched:
-            computer.invalidate_many(touched)
-        elapsed = time.perf_counter() - t0
-        self.report.n_papers += 1
-        self.report.n_mentions += len(assignments)
-        self.report.record_paper_seconds(elapsed)
-        return assignments
-
-    # ------------------------------------------------------------------ #
-    # duplicate pids
-    # ------------------------------------------------------------------ #
-    def _resolve_duplicate(self, paper: Paper) -> list[Assignment]:
-        """Apply ``duplicate_paper_policy`` to an already-known pid."""
-        if self.iuad.config.duplicate_paper_policy == "raise":
-            raise ValueError(
-                f"paper {paper.pid} is already in the fitted corpus; "
-                "re-ingesting would duplicate its mentions "
-                "(set duplicate_paper_policy='return' for idempotent replay)"
-            )
-        self.report.n_duplicates += 1
-        return self._prior_assignments(paper)
-
-    def _prior_assignments(self, paper: Paper) -> list[Assignment]:
-        """The current owners of ``paper``'s mentions, as assignments.
-
-        Reconstructed from the GCN's mention payloads rather than stored
-        per pid, so idempotent replay costs no memory on long streams and
-        also answers for papers that were part of the original fit.  A
-        mention nobody owns (possible only for hand-built networks)
-        reports ``vid=-1``; scores are ``nan`` — no fresh decision was
-        made.
-        """
-        gcn = self.iuad.gcn_
-        assert gcn is not None
-        out: list[Assignment] = []
-        for position, name in enumerate(paper.authors):
-            owner = gcn.owner_of(paper.pid, position, name)
-            if owner is None:
-                owner = -1
-            out.append(
-                Assignment(
-                    name=name,
-                    position=position,
-                    vid=owner,
-                    created=False,
-                    score=float("nan"),
-                )
-            )
-        return out
-
-    # ------------------------------------------------------------------ #
-    # the three phases of one mention decision
-    # ------------------------------------------------------------------ #
-    def _candidate_vids(
-        self, name: str, pid: int, exclude: frozenset[int] = frozenset()
-    ) -> list[int]:
-        """Admissible attachment candidates for a mention of ``name``.
-
-        One-mention-per-paper invariant as a structural candidate filter:
-        a vertex already owning an occurrence of this paper (an earlier
-        position of a twice-listed name) is a provably different person,
-        and scoring it would let the second mention self-attach on the
-        evidence of this very paper.  ``exclude`` additionally drops
-        vertices that must not be visible yet — the streaming path passes
-        its not-yet-applied batch probes, which a sequential stream would
-        not have created at this point.
-        """
-        gcn = self.iuad.gcn_
-        assert gcn is not None
-        return [
-            vid
-            for vid in gcn.vertices_of_name(name)
-            if vid not in exclude and pid not in gcn.papers_of(vid)
-        ]
-
-    def _make_probe(self, name: str, pid: int, position: int) -> int:
-        """The isolated probe vertex ``v_a`` carrying just this mention."""
-        gcn = self.iuad.gcn_
-        assert gcn is not None
-        return gcn.add_vertex(name, mentions=((pid, position),))
-
-    def _select_candidate(
-        self, candidates: list[int], scores: np.ndarray, pid: int
-    ) -> tuple[int, float]:
-        """Argmax with a deterministic tie-break: lowest vertex id wins.
-
-        Candidates that meanwhile acquired a mention of ``pid`` (an
-        earlier position of the same paper attached there) are skipped —
-        the structural filter re-checked at apply time.  Returns
-        ``(index, score)``; ``(-1, -inf)`` when nothing is admissible.
-
-        Enumeration order deliberately plays no role: ``np.argmax`` would
-        return the first maximal entry, making equal-score attachments
-        depend on name-index insertion order, which differs between a
-        whole-corpus fit and a stitched sharded fit.
-        """
-        gcn = self.iuad.gcn_
-        assert gcn is not None
-        best_i = -1
-        best_vid = -1
-        best_score = float("-inf")
-        for i, vid in enumerate(candidates):
-            if pid in gcn.papers_of(vid):
-                continue
-            score = float(scores[i])
-            if score > best_score or (
-                score == best_score and (best_i < 0 or vid < best_vid)
-            ):
-                best_i, best_vid, best_score = i, vid, score
-        return best_i, best_score
-
-    def _apply_assignment(
-        self,
-        name: str,
-        pid: int,
-        position: int,
-        probe: int,
-        candidates: list[int],
-        scores: np.ndarray,
-    ) -> Assignment:
-        """Decide and mutate: attach to the best candidate or keep the probe.
-
-        ``scores`` is aligned with ``candidates`` (Eq. 11 matching scores
-        of the ``(probe, candidate)`` pairs).  Shared verbatim by the
-        scalar :meth:`add_paper` loop and the batched streaming waves —
-        the parity contract forbids letting the two decision paths drift.
-        """
-        gcn = self.iuad.gcn_
-        computer = self.iuad.computer_
-        assert gcn is not None and computer is not None
-        best_i, best_score = self._select_candidate(candidates, scores, pid)
-        if best_i >= 0 and best_score >= self.iuad.config.incremental_delta:
-            target = candidates[best_i]
-            gcn.add_mention(target, pid, position)
-            gcn.set_mentions(probe, ())
-            self._drop_probe(probe)
-            # Attaching the paper changed target's own keyword/venue
-            # profile but no adjacency: fold the paper into the cached
-            # profile in place (WL features and triangles stay valid; a
-            # full rebuild per later read would dominate hot streams).
-            # The structural ball is invalidated later, when the
-            # recovered edges go in.
-            computer.attach_paper(target, pid)
-            self.report.n_attached += 1
-            return Assignment(
-                name=name,
-                position=position,
-                vid=target,
-                created=False,
-                score=best_score,
-            )
-        if candidates:
-            computer.invalidate(probe)
-        self.report.n_created += 1
-        return Assignment(
-            name=name,
-            position=position,
-            vid=probe,
-            created=True,
-            score=best_score,
-        )
-
-    # ------------------------------------------------------------------ #
-    def _assign_mention(self, name: str, pid: int, position: int) -> Assignment:
-        """Scalar path: candidates → one scoring call → apply."""
-        computer = self.iuad.computer_
-        model = self.iuad.model_
-        assert computer is not None and model is not None
-        candidates = self._candidate_vids(name, pid)
-        probe = self._make_probe(name, pid, position)
+    iuad = ingestor.iuad
+    corpus, computer = iuad.corpus_, iuad.computer_
+    report = ingestor.report
+    if paper.pid in corpus:
+        if iuad.config.duplicate_paper_policy == "raise":
+            raise ValueError(f"paper {paper.pid} is already ingested")
+        report.n_duplicates += 1
+        return ingestor._prior_assignments(paper)
+    t0 = time.perf_counter()
+    corpus.add(paper)
+    if ingestor.shard_index is not None:
+        report.count_shards((ingestor.shard_index.route_paper(paper.authors),))
+    assignments: list[Assignment] = []
+    for position, name in enumerate(paper.authors):
+        candidates = ingestor._candidate_vids(name, paper.pid)
+        probe = ingestor._make_probe(name, paper.pid, position)
+        scores = np.empty(0, dtype=np.float64)
         if candidates:
             pairs = [(probe, vid) for vid in candidates]
-            scores = match_scores(model, computer.pair_matrix(pairs))
-        else:
-            scores = np.empty(0, dtype=np.float64)
-        return self._apply_assignment(
-            name, pid, position, probe, candidates, scores
-        )
-
-    def _recover_paper_relations(
-        self, pid: int, assignments: list[Assignment]
-    ) -> set[int]:
-        """Insert the paper's collaboration edges; returns touched vids."""
-        gcn = self.iuad.gcn_
-        assert gcn is not None
-        vids = [a.vid for a in assignments]
-        touched: set[int] = set()
-        for i, u in enumerate(vids):
-            for v in vids[i + 1 :]:
-                if u != v:
-                    gcn.add_edge(u, v, (pid,))
-                    touched.add(u)
-                    touched.add(v)
-        return touched
-
-    def _drop_probe(self, probe: int) -> None:
-        """Remove the temporary probe vertex (it never acquired edges).
-
-        The probe was scored, so its profile is cached; drop that too or
-        the store leaks one dead entry per attached mention.
-        """
-        gcn = self.iuad.gcn_
-        computer = self.iuad.computer_
-        assert gcn is not None and computer is not None
-        gcn.remove_isolated_vertex(probe)
-        computer.invalidate(probe)
+            scores = match_scores(iuad.model_, computer.pair_matrix(pairs))
+        assignments.append(ingestor._apply_assignment(
+            name, paper.pid, position, probe, candidates, scores
+        ))
+    touched = ingestor._recover_paper_relations(paper.pid, assignments)
+    if touched:
+        computer.invalidate_many(touched)
+    report.n_papers += 1
+    report.n_mentions += len(assignments)
+    report.record_paper_seconds(time.perf_counter() - t0)
+    return assignments

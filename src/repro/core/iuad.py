@@ -287,10 +287,10 @@ class IUAD:
         iuad = IUAD()
         iuad.fit(corpus)
         clusters = iuad.clusters_of_name("Wei Wang")   # vid -> paper ids
-        # stream new papers without retraining:
-        from repro.core.incremental import IncrementalDisambiguator
-        inc = IncrementalDisambiguator(iuad)
-        inc.add_paper(new_paper)
+        # stream new papers without retraining, through one ingest path
+        # (add_paper(p) is add_papers([p])[0]):
+        from repro.core import StreamingIngestor
+        StreamingIngestor(iuad).add_papers(new_papers)
 
     After :meth:`fit`, the fitted state lives in ``scn_``, ``gcn_``,
     ``model_``, ``computer_`` and ``report_``.

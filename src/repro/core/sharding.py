@@ -239,9 +239,9 @@ class ShardIndex:
         StreamingIngestor`) routes a whole burst through here before
         planning its waves.  Routing is applied paper by paper *in input
         order* — bridging is order-sensitive (the shard a paper lands on
-        depends on the unions performed so far), and the sequential
-        ``add_paper`` loop routes in exactly that order, which is what
-        keeps the index state and the per-shard counters in parity.
+        depends on the unions performed so far), and a one-paper-at-a-time
+        :meth:`route_paper` loop routes in exactly that order, which is
+        what keeps the index state and the per-shard counters in parity.
         Returned ids are canonical at the time each paper was routed; a
         later bridge may merge them further (resolve via
         :meth:`shard_of_name` for the current canonical id).
@@ -890,7 +890,7 @@ class ShardedIUAD(IUAD):
     completion order).
 
     After fitting, ``shard_index_`` routes streaming inserts
-    (:class:`~repro.core.incremental.IncrementalDisambiguator`) to their
+    (:class:`~repro.core.streaming.StreamingIngestor`) to their
     owning shard, ``cannot_links_`` holds the re-derived cannot-link
     pairs of the stitched network, and ``report_.shard_stats`` carries
     the per-shard counters.

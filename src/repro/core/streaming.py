@@ -1,91 +1,65 @@
-"""Batched streaming ingestion: vectorised multi-paper inserts.
+"""Streaming ingestion: Section V-E's incremental rule, a burst at a time.
 
-Real bibliographic streams arrive in bursty batches, not single records.
-The scalar :meth:`~repro.core.incremental.IncrementalDisambiguator.
-add_paper` loop pays, per mention, a full candidate-scoring call — with
-its per-call dispatch, assembly and ``match_scores`` overhead — plus a
-radius-``h`` cache invalidation per paper and the profile rebuilds
-earlier invalidations forced.  :class:`StreamingIngestor.add_papers`
-ingests a whole burst at once while staying in *exact parity* with the
-sequential loop:
+A newly published paper ``p`` carrying name ``a`` is first an isolated
+probe vertex ``v_a``.  Its similarity vector against every existing GCN
+vertex of name ``a`` is scored with the *already learned* parameters;
+the mention attaches to the argmax vertex ``v_k`` iff
+``sc_k ≥ incremental_delta``, otherwise ``v_a`` stays a new vertex.  No
+retraining happens — the property that makes IUAD incremental (Table VI
+measures the cost per paper).
 
-1. **Shard-grouped admission** — every paper is bulk-routed through the
-   fitted :class:`~repro.core.sharding.ShardIndex` (when present), in
-   batch order, so the index state and the per-shard counters match the
-   sequential loop.  Papers of different name blocks never interact;
-   their scores come straight off the shared snapshot below.
+Mention identity is positional: each occurrence on ``p``'s co-author
+list is decided separately, and a vertex already owning an occurrence
+of ``p`` is barred from its later occurrences, so a paper listing one
+name twice always yields two distinct vertices.  Ties on the matching
+score go to the *lowest vertex id*, never to enumeration order, so
+equal-score candidates attach identically after a shard stitch and
+after a whole-corpus fit (whose name-index orders differ).
 
-2. **Batched snapshot scoring** — the candidate ``(probe, vertex)``
-   pairs of *every* paper in the burst are resolved up front and scored
-   in ONE vectorised ``SimilarityComputer.pair_matrix`` /
-   ``match_scores`` call, instead of one call per mention.  Probe
-   vertices are pre-allocated for the whole batch in batch × position
-   order (exactly the order the sequential loop allocates them, so
-   surviving vertices keep identical ids), and probes of
-   not-yet-applied papers are hidden from candidate enumeration (a
-   sequential stream would not have created them yet).  Each mention
-   keeps a zero-copy slice of the snapshot's score vector.
+:class:`StreamingIngestor` has one ingest path,
+:meth:`~StreamingIngestor.add_papers`; ``add_paper(p)`` is
+``add_papers([p])[0]``.  A burst runs in three steps:
 
-3. **Ordered walk with exact value-stain tracking** — papers are then
-   applied strictly in batch order.  Each application *stains* exactly
-   the vertices whose similarity inputs it changed: the attach targets
-   (their own keyword/venue profiles grew) and, when collaboration
-   edges went in, the vertices whose radius-``h`` WL ball gained a
-   vertex or an induced edge (:func:`_value_stain` — a strict subset of
-   the conservative radius-``h`` ball the sequential loop drops,
-   because profiles outside it would rebuild bit-identically).  The
-   stain doubles as the cache invalidation, so dependency tracking and
-   cache hygiene share one BFS.  At each paper's turn, a mention whose
-   candidate list is unchanged and untouched by stains consumes its
-   snapshot slice outright; any stale pair — a stained or newly created
-   candidate — is re-scored *inline against the live network*, which is
-   literally what the sequential loop computes at that point.
-   Intra-batch dependencies therefore cost exactly what they cost
-   sequentially and are resolved in dependency (= batch) order, while
-   every untouched pair rides the vectorised snapshot.  A burst of
-   unrelated papers consumes the snapshot wholesale; a pathologically
-   self-dependent burst degrades gracefully toward the sequential loop,
-   never below it by more than the snapshot overhead.
+1. **Admission** — duplicates follow ``duplicate_paper_policy``, fresh
+   papers are routed through the fitted
+   :class:`~repro.core.sharding.ShardIndex` (when present) in batch
+   order, and probe vertices are allocated in batch × position order —
+   the order a one-at-a-time loop allocates them, so surviving vertices
+   keep identical ids.
+2. **Snapshot scoring** — the ``(probe, candidate)`` pairs of every
+   mention are scored in ONE ``pair_matrix`` / ``match_scores`` call.
+   Probes of not-yet-applied papers are hidden from candidate
+   enumeration; each mention keeps a zero-copy slice of the scores.
+3. **Ordered walk with exact value stains** — papers are applied in
+   batch order.  Each application *stains* exactly the vertices whose
+   similarity inputs it changed: the attach targets (their keyword/venue
+   state is folded into the cache in place by
+   ``SimilarityComputer.attach_paper``) and, when collaboration edges
+   went in, the vertices whose radius-``h`` WL ball gained a vertex or
+   an induced edge (:func:`_value_stain`).  The stain doubles as the
+   cache invalidation.  A mention whose candidates are unchanged and
+   unstained consumes its snapshot slice; a stale pair is re-scored
+   inline against the live network — what a one-at-a-time loop computes
+   at that point.  A burst of unrelated papers rides the snapshot
+   wholesale; a self-dependent burst degrades toward one-at-a-time cost.
 
-4. **Incremental attach updates** — attachments fold the new paper into
-   the target's cached profile and cached columns in place
-   (``SimilarityComputer.attach_paper``): WL features and triangles
-   depend only on adjacency, which an attachment never changes, so the
-   full rebuild that drop-and-rebuild invalidation used to force on
-   every later read of a hot vertex disappears — from the batched and
-   the sequential path alike.
-
-Honest throughput accounting: the end-to-end gain of ``add_papers`` is
-bounded by two costs both paths share — the per-vertex WL/triangle
-gather for every distinct uncached candidate (the paper-derived columns
-are built in one vectorised pass per scoring call) and the genuinely
-dependent pairs, which exact parity *requires* re-scoring at sequential
-cost.  The
-vectorised snapshot itself scores pairs several times faster than the
-per-pair scalar loop; ``benchmarks/test_table6_streaming.py`` records
-both that scoring throughput and the end-to-end papers/second.
-
-Parity contract
----------------
-
-``add_papers(batch)`` produces the same GCN (identical vertex ids,
-names, papers, mention payloads and edges), the same assignments
-(vid/created; scores to batch-engine precision, ≤1e-9 — stale pairs are
-re-scored on the sequential code path itself) and the same report
-counters as looping ``add_paper`` over the batch in order — including
-same-paper homonyms and papers bridging shards
-(``tests/test_streaming_parity.py`` pins this).  Cache hygiene is
-value-identical: the walk drops (or in-place-updates) every cached
-profile whose value the batch changed, so a stale profile can never
-serve an inline re-score; profiles the sequential loop would drop *and
-rebuild to the same values* are simply kept.
+Parity contract: however a stream is cut into bursts, ``add_papers``
+produces the same GCN (vertex ids, names, papers, mention payloads,
+edges), the same assignments (scores to ≤1e-9) and the same report
+counters as the paper-faithful per-mention loop
+:func:`repro.core.incremental.sequential_add_paper`, the test oracle —
+including same-paper homonyms, shard-bridging papers and duplicates
+(``tests/test_streaming_parity.py``).  Every cached profile left behind
+equals a fresh build (``tests/test_incremental.py``): the oracle's wider
+radius-``h`` drop would only rebuild the same values.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -95,7 +69,105 @@ from ..data.records import Paper
 from ..graphs.collab import CollaborationNetwork
 from ..graphs.wl import multi_source_ball
 from ..model.scoring import match_scores
-from .incremental import Assignment, IncrementalDisambiguator
+
+
+@dataclass(slots=True)
+class Assignment:
+    """Outcome of disambiguating one mention of a new paper."""
+
+    name: str
+    position: int  # occurrence index into the paper's co-author list
+    vid: int
+    created: bool  # True when a fresh vertex was created
+    score: float   # best Eq. 11 score (−inf when no candidates existed;
+                   # nan for an idempotent duplicate replay)
+
+
+@dataclass(slots=True)
+class IncrementalReport:
+    """Stream statistics: papers processed and time spent.
+
+    ``n_mentions`` counts occurrences — a paper listing one name twice
+    contributes two mentions, matching the per-occurrence model everywhere
+    else in the pipeline.
+
+    ``per_shard_papers`` is filled only when the fitted estimator carries
+    a shard index (:class:`repro.core.sharding.ShardedIUAD`): it counts
+    streamed papers per owning (canonical) shard id, the locality
+    evidence that every insert touched exactly one name block.
+
+    Timing is bounded: only the last ``timing_window`` per-paper samples
+    are retained (:attr:`per_paper_seconds`), so a million-paper stream
+    never holds a million floats.  :attr:`avg_ms_per_paper` stays *exact*
+    regardless, because it divides the running ``seconds`` sum by
+    ``n_papers`` rather than summing the window.
+
+    ``n_batches`` / ``n_waves`` count ``add_papers`` calls (``add_paper``
+    is a one-paper call) and the vectorised snapshot-scoring rounds they
+    ran (one per call with a fresh paper).  ``n_duplicates`` counts
+    idempotent duplicate replays (``duplicate_paper_policy="return"``).
+    """
+
+    n_papers: int = 0
+    n_mentions: int = 0
+    n_attached: int = 0
+    n_created: int = 0
+    n_duplicates: int = 0
+    n_batches: int = 0
+    n_waves: int = 0
+    seconds: float = 0.0
+    timing_window: int = 4096
+    per_shard_papers: dict[int, int] = field(default_factory=dict)
+    _recent_seconds: deque = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.timing_window < 1:
+            raise ValueError(
+                f"timing_window must be >= 1, got {self.timing_window}"
+            )
+        self._recent_seconds = deque(maxlen=self.timing_window)
+
+    def record_paper_seconds(self, elapsed: float) -> None:
+        """Account one paper's wall-clock: exact sum + rolling window."""
+        self.seconds += elapsed
+        self._recent_seconds.append(elapsed)
+
+    def count_shards(self, shards: Sequence[int]) -> None:
+        """Count one routed paper against each (canonical) shard id."""
+        for shard in shards:
+            self.per_shard_papers[shard] = (
+                self.per_shard_papers.get(shard, 0) + 1
+            )
+
+    @property
+    def per_paper_seconds(self) -> list[float]:
+        """The most recent per-paper wall-clock samples (bounded window).
+
+        At most ``timing_window`` entries — the tail of the stream, not
+        its full history.  Use :attr:`avg_ms_per_paper` for the exact
+        whole-stream average.
+        """
+        return list(self._recent_seconds)
+
+    @property
+    def avg_ms_per_paper(self) -> float:
+        """Average wall-clock per paper in milliseconds (Table VI row).
+
+        Exact over the whole stream (running sums, independent of the
+        bounded sample window).  Guarded for the empty stream: a report
+        that has processed no papers yet answers ``0.0`` instead of
+        dividing by zero.
+        """
+        if self.n_papers == 0:
+            return 0.0
+        return 1000.0 * self.seconds / self.n_papers
+
+    @property
+    def recent_avg_ms_per_paper(self) -> float:
+        """Average over the retained window only (recent-cost telemetry)."""
+        if not self._recent_seconds:
+            return 0.0
+        return 1000.0 * sum(self._recent_seconds) / len(self._recent_seconds)
 
 
 @dataclass(slots=True)
@@ -103,8 +175,8 @@ class BatchStats:
     """Execution counters of one ``add_papers`` burst.
 
     ``n_scored_pairs`` are pairs scored through the vectorised snapshot
-    call; ``n_patched_pairs`` the stale pairs re-scored inline on the
-    sequential path at their paper's turn (``n_patch_calls`` scoring
+    call; ``n_patched_pairs`` the stale pairs re-scored inline against
+    the live network at their paper's turn (``n_patch_calls`` scoring
     calls).  The patched share is the burst's intra-batch dependency
     rate — 0 for a burst of unrelated papers.
     """
@@ -138,9 +210,7 @@ def _value_stain(
     Computed on the live network (the clique edges are already in), so
     chains through this batch's earlier insertions are included.  Every
     vertex outside this set keeps a bit-identical profile, which is why
-    the streaming walk may keep both its cached profile and its snapshot
-    scores — the sequential loop's wider radius-``h`` invalidation would
-    merely rebuild the same values.
+    the walk may keep both its cached profile and its snapshot scores.
     """
     vids = sorted(set(assigned))
     stain = multi_source_ball(gcn, vids, radius - 1)
@@ -151,16 +221,15 @@ def _value_stain(
     return stain
 
 
-class StreamingIngestor(IncrementalDisambiguator):
-    """Batched streaming front-end over the incremental disambiguator.
+class StreamingIngestor:
+    """The writer: streams newly published papers into a fitted IUAD.
 
-    Drop-in extension of
-    :class:`~repro.core.incremental.IncrementalDisambiguator`: single
-    papers still go through :meth:`add_paper`; bursts go through
-    :meth:`add_papers`, which returns one assignment list per input
-    paper, in input order, exactly as the sequential loop would.
-    ``last_batch`` holds the :class:`BatchStats` of the most recent
-    burst; cumulative batch counters ride on ``report``.
+    :meth:`add_papers` ingests a burst and returns one assignment list
+    per input paper, in input order; :meth:`add_paper` is the one-paper
+    burst.  ``last_batch`` holds the :class:`BatchStats` of the most
+    recent call; cumulative counters ride on ``report``.  The same class
+    is importable as :class:`repro.core.incremental.
+    IncrementalDisambiguator`, the paper's name for it.
 
     Checkpointing: with a ``checkpoint_path`` (and
     ``config.checkpoint_every_n_papers > 0``) the ingestor periodically
@@ -184,15 +253,15 @@ class StreamingIngestor(IncrementalDisambiguator):
     same fold explicitly, while a full checkpoint to any other path is a
     side snapshot that leaves the chain untouched.
 
-    Thread safety: a writer lock serializes :meth:`add_paper`,
-    :meth:`add_papers` and :meth:`checkpoint`, so a checkpoint requested
-    from another thread while bursts are running (the serving layer's
-    pattern — requests keep queueing while the writer drains) can never
-    observe a half-applied burst: it always captures a consistent
-    *post-burst* state, and resuming it then replaying the still-queued
-    papers reproduces exactly the clustering of draining the queue first
-    and checkpointing after (``tests/test_service.py`` pins this).
-    Queries are not serialized — readers are expected to go through an
+    Thread safety: a writer lock serializes :meth:`add_papers` and
+    :meth:`checkpoint`, so a checkpoint requested from another thread
+    while bursts are running (the serving layer's pattern — requests
+    keep queueing while the writer drains) can never observe a
+    half-applied burst: it always captures a consistent *post-burst*
+    state, and resuming it then replaying the still-queued papers
+    reproduces exactly the clustering of draining the queue first and
+    checkpointing after (``tests/test_service.py`` pins this).  Queries
+    are not serialized — readers are expected to go through an
     immutable :class:`~repro.service.FittedView`, never the live writer.
     """
 
@@ -202,7 +271,16 @@ class StreamingIngestor(IncrementalDisambiguator):
         checkpoint_path: str | Path | None = None,
         checkpoint_backend: str | None = None,
     ) -> None:
-        super().__init__(iuad)
+        if iuad.gcn_ is None or iuad.model_ is None or iuad.computer_ is None:
+            raise ValueError("IUAD must be fitted before incremental use")
+        self.iuad = iuad
+        self.report = IncrementalReport(
+            timing_window=iuad.config.incremental_timing_window
+        )
+        # A sharded fit exposes its name-block routing; inserts are then
+        # accounted to (and structurally confined to) the shard owning
+        # the paper's names.  Plain IUAD fits have no index.
+        self.shard_index = getattr(iuad, "shard_index_", None)
         self.last_batch: BatchStats | None = None
         self.checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None
@@ -418,18 +496,36 @@ class StreamingIngestor(IncrementalDisambiguator):
             ingestor._journal_armed = True
         return ingestor
 
-    def add_paper(self, paper: Paper):  # inherits the full docstring
+    # ------------------------------------------------------------------ #
+    # ingestion: one path
+    # ------------------------------------------------------------------ #
+    def add_paper(self, paper: Paper) -> list[Assignment]:
+        """Ingest one paper: ``add_papers([paper])[0]``.
+
+        Returns one :class:`Assignment` per occurrence on the paper's
+        co-author list.  The call counts as a batch in ``report`` and
+        sets ``last_batch``, like any other burst.
+        """
+        return self.add_papers([paper])[0]
+
+    def add_papers(self, papers: Sequence[Paper]) -> list[list[Assignment]]:
+        """Ingest a burst of papers; parity-exact with sequential order.
+
+        Every fresh paper is appended to the fitted corpus, each mention
+        is attached to the best-scoring same-name vertex (or becomes a
+        new vertex), and the paper's collaborative relations are
+        recovered as GCN edges (the incremental analogue of Algorithm 1
+        line 16).
+
+        Duplicates (pids already in the corpus, or repeated within the
+        batch) follow ``config.duplicate_paper_policy``.  Under
+        ``"raise"`` the whole batch is validated up front and rejected
+        before anything is mutated; under ``"return"`` a duplicate
+        replays the current owners of its mentions, never ingesting the
+        paper twice.
+        """
         with self._write_lock:
-            before = self.report.n_papers
-            assignments = super().add_paper(paper)
-            if self._journal_armed and self.report.n_papers > before:
-                # Duplicates (policy "return") mutate nothing — only a
-                # genuinely ingested paper becomes a replayable decision.
-                self._journal.append(
-                    (paper, [(a.vid, a.created) for a in assignments])
-                )
-            self._maybe_checkpoint(self.report.n_papers - before)
-        return assignments
+            return self._add_papers_locked(papers)
 
     def _maybe_checkpoint(self, n_new: int) -> None:
         every = self.iuad.config.checkpoint_every_n_papers
@@ -438,20 +534,6 @@ class StreamingIngestor(IncrementalDisambiguator):
         self._papers_since_checkpoint += n_new
         if self._papers_since_checkpoint >= every:
             self.checkpoint()
-
-    # ------------------------------------------------------------------ #
-    def add_papers(self, papers: Sequence[Paper]) -> list[list[Assignment]]:
-        """Ingest a burst of papers; parity-exact with sequential order.
-
-        Duplicates (pids already in the corpus, or repeated within the
-        batch) follow ``config.duplicate_paper_policy``.  Under
-        ``"raise"`` the whole batch is validated up front and rejected
-        before anything is mutated — unlike the sequential loop, which
-        would fail midway; under ``"return"`` duplicates replay the
-        current owners of their mentions, exactly as sequentially.
-        """
-        with self._write_lock:
-            return self._add_papers_locked(papers)
 
     def _add_papers_locked(
         self, papers: Sequence[Paper]
@@ -490,16 +572,12 @@ class StreamingIngestor(IncrementalDisambiguator):
         if self.shard_index is not None and fresh:
             # Bulk routing through the fitted shard partition: identical
             # index state (bridging happens in batch order) and counters
-            # as one route_paper call per sequential insert.
-            shards = self.shard_index.route_papers(
+            # as one route_paper call per paper.
+            self.report.count_shards(self.shard_index.route_papers(
                 paper.authors for _index, paper in fresh
-            )
-            for shard in shards:
-                self.report.per_shard_papers[shard] = (
-                    self.report.per_shard_papers.get(shard, 0) + 1
-                )
+            ))
         # Probe vids for the whole batch, in batch × position order (the
-        # sequential allocation order — vid parity).
+        # one-at-a-time allocation order — vid parity).
         probes: dict[tuple[int, int], int] = {}
         pending_probes: set[int] = set()
         for fresh_pos, (_index, paper) in enumerate(fresh):
@@ -570,7 +648,7 @@ class StreamingIngestor(IncrementalDisambiguator):
                     candidates
                 ):
                     # Clean mention: the snapshot slice is the score
-                    # vector the sequential loop would compute here.
+                    # vector a one-at-a-time loop would compute here.
                     plan.append((position, name, candidates, known_scores))
                     continue
                 known = dict(zip(known_cands, known_scores))
@@ -585,9 +663,9 @@ class StreamingIngestor(IncrementalDisambiguator):
                         mention_scores[i] = score
                 plan.append((position, name, candidates, mention_scores))
             if patch_pairs:
-                # The sequential code path, verbatim: score against the
-                # live network (caches were dropped exactly as add_paper
-                # drops them, so values are current).
+                # Score against the live network: every cached value
+                # the burst changed was dropped or updated in place, so
+                # this is what a one-at-a-time loop computes here.
                 patch = match_scores(model, computer.pair_matrix(patch_pairs))
                 for (row, i), score in zip(patch_slots, patch):
                     plan[row][3][i] = score
@@ -612,9 +690,9 @@ class StreamingIngestor(IncrementalDisambiguator):
                 # once, used for both.  It is the *exact* set of vertices
                 # whose profile values the new edges changed (see
                 # ``_value_stain``); profiles outside it are kept even
-                # though ``add_paper`` would conservatively drop its
-                # whole radius-``h`` ball, because a rebuild would
-                # reproduce them bit-identically.
+                # though the oracle conservatively drops its whole
+                # radius-``h`` ball, because a rebuild would reproduce
+                # them bit-identically.
                 ball = _value_stain(
                     gcn, [a.vid for a in assignments], radius
                 )
@@ -633,7 +711,7 @@ class StreamingIngestor(IncrementalDisambiguator):
 
         # ---------------- duplicates replay (idempotent) --------------- #
         # Mention ownership is stable once assigned, so replaying after
-        # the walk answers exactly what the sequential loop would have
+        # the walk answers exactly what a one-at-a-time loop would have
         # answered at the duplicate's stream position.
         for index in duplicates:
             self.report.n_duplicates += 1
@@ -662,6 +740,152 @@ class StreamingIngestor(IncrementalDisambiguator):
         )
         self._maybe_checkpoint(len(fresh))
         return [results[index] for index in sorted(results)]
+
+
+
+    # ------------------------------------------------------------------ #
+    # the phases of one mention decision (shared with the oracle)
+    # ------------------------------------------------------------------ #
+    def _prior_assignments(self, paper: Paper) -> list[Assignment]:
+        """The current owners of ``paper``'s mentions, as assignments.
+
+        Reconstructed from the GCN's mention payloads rather than stored
+        per pid, so idempotent replay costs no memory on long streams and
+        also answers for papers that were part of the original fit.  A
+        mention nobody owns (possible only for hand-built networks)
+        reports ``vid=-1``; scores are ``nan`` — no fresh decision was
+        made.
+        """
+        gcn = self.iuad.gcn_
+        assert gcn is not None
+        out: list[Assignment] = []
+        for position, name in enumerate(paper.authors):
+            owner = gcn.owner_of(paper.pid, position, name)
+            out.append(
+                Assignment(
+                    name=name,
+                    position=position,
+                    vid=-1 if owner is None else owner,
+                    created=False,
+                    score=float("nan"),
+                )
+            )
+        return out
+
+    def _candidate_vids(
+        self, name: str, pid: int, exclude: frozenset[int] = frozenset()
+    ) -> list[int]:
+        """Admissible attachment candidates for a mention of ``name``.
+
+        One-mention-per-paper invariant as a structural candidate filter:
+        a vertex already owning an occurrence of this paper (an earlier
+        position of a twice-listed name) is a provably different person,
+        and scoring it would let the second mention self-attach on the
+        evidence of this very paper.  ``exclude`` additionally drops
+        vertices that must not be visible yet — the burst's
+        not-yet-applied probes, which a one-at-a-time stream would not
+        have created at this point.
+        """
+        gcn = self.iuad.gcn_
+        assert gcn is not None
+        return [
+            vid
+            for vid in gcn.vertices_of_name(name)
+            if vid not in exclude and pid not in gcn.papers_of(vid)
+        ]
+
+    def _make_probe(self, name: str, pid: int, position: int) -> int:
+        """The isolated probe vertex ``v_a`` carrying just this mention."""
+        gcn = self.iuad.gcn_
+        assert gcn is not None
+        return gcn.add_vertex(name, mentions=((pid, position),))
+
+    def _select_candidate(
+        self, candidates: list[int], scores: np.ndarray, pid: int
+    ) -> tuple[int, float]:
+        """Argmax with a deterministic tie-break: lowest vertex id wins.
+
+        Candidates that meanwhile acquired a mention of ``pid`` (an
+        earlier position of the same paper attached there) are skipped —
+        the structural filter re-checked at apply time.  Returns
+        ``(index, score)``; ``(-1, -inf)`` when nothing is admissible.
+
+        Enumeration order deliberately plays no role: ``np.argmax`` would
+        return the first maximal entry, making equal-score attachments
+        depend on name-index insertion order, which differs between a
+        whole-corpus fit and a stitched sharded fit.
+        """
+        gcn = self.iuad.gcn_
+        assert gcn is not None
+        best_i = -1
+        best_vid = -1
+        best_score = float("-inf")
+        for i, vid in enumerate(candidates):
+            if pid in gcn.papers_of(vid):
+                continue
+            score = float(scores[i])
+            if score > best_score or (
+                score == best_score and (best_i < 0 or vid < best_vid)
+            ):
+                best_i, best_vid, best_score = i, vid, score
+        return best_i, best_score
+
+    def _apply_assignment(
+        self,
+        name: str,
+        pid: int,
+        position: int,
+        probe: int,
+        candidates: list[int],
+        scores: np.ndarray,
+    ) -> Assignment:
+        """Decide and mutate: attach to the best candidate or keep the probe.
+
+        ``scores`` is aligned with ``candidates`` (Eq. 11 matching scores
+        of the ``(probe, candidate)`` pairs).  Shared verbatim by the walk
+        and the oracle — the parity contract forbids letting the two
+        decisions drift.
+        """
+        gcn = self.iuad.gcn_
+        computer = self.iuad.computer_
+        assert gcn is not None and computer is not None
+        best_i, best_score = self._select_candidate(candidates, scores, pid)
+        if best_i >= 0 and best_score >= self.iuad.config.incremental_delta:
+            target = candidates[best_i]
+            gcn.add_mention(target, pid, position)
+            gcn.set_mentions(probe, ())
+            # The probe never acquired edges; it was scored, so drop its
+            # cached state too or the store leaks one entry per attach.
+            gcn.remove_isolated_vertex(probe)
+            computer.invalidate(probe)
+            # Attaching the paper changed target's own keyword/venue
+            # profile but no adjacency: fold the paper into the cached
+            # profile in place (WL features and triangles stay valid).
+            # The structural ball is invalidated later, when the
+            # recovered edges go in.
+            computer.attach_paper(target, pid)
+            self.report.n_attached += 1
+            return Assignment(name, position, target, False, best_score)
+        if candidates:
+            computer.invalidate(probe)
+        self.report.n_created += 1
+        return Assignment(name, position, probe, True, best_score)
+
+    def _recover_paper_relations(
+        self, pid: int, assignments: list[Assignment]
+    ) -> set[int]:
+        """Insert the paper's collaboration edges; returns touched vids."""
+        gcn = self.iuad.gcn_
+        assert gcn is not None
+        vids = [a.vid for a in assignments]
+        touched: set[int] = set()
+        for i, u in enumerate(vids):
+            for v in vids[i + 1 :]:
+                if u != v:
+                    gcn.add_edge(u, v, (pid,))
+                    touched.add(u)
+                    touched.add(v)
+        return touched
 
 
 _EMPTY = np.empty(0, dtype=np.float64)

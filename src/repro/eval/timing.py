@@ -151,11 +151,10 @@ def shard_summary(report: Any) -> dict[str, float]:
 def streaming_summary(report: Any) -> dict[str, float]:
     """Flatten an incremental/streaming report for benchmark records.
 
-    Duck-typed over :class:`repro.core.incremental.IncrementalReport`
-    (optionally filled by the batched
-    :class:`repro.core.streaming.StreamingIngestor`) so this evaluation
-    helper needs no import from ``core``.  The returned dict is flat and
-    JSON-ready — the streaming benchmark embeds it into
+    Duck-typed over :class:`repro.core.streaming.IncrementalReport`
+    (filled by :class:`repro.core.streaming.StreamingIngestor`) so this
+    evaluation helper needs no import from ``core``.  The returned dict
+    is flat and JSON-ready — the streaming benchmark embeds it into
     ``BENCH_streaming.json`` next to the stage seconds.
     ``papers_per_wave`` is the batching yield: how many papers each
     dependency wave carried on average (1.0 means the burst degenerated

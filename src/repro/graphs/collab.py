@@ -228,7 +228,7 @@ class CollaborationNetwork:
         hand-built networks without mention payloads, or for a position
         that never existed.  This is the one query path shared by the
         incremental duplicate replay
-        (:meth:`~repro.core.incremental.IncrementalDisambiguator.add_paper`
+        (:meth:`~repro.core.streaming.StreamingIngestor.add_papers`
         under ``duplicate_paper_policy="return"``) and the serving layer's
         :class:`~repro.service.FittedView` projection builder.
         """

@@ -95,7 +95,7 @@ class DeltaRecord:
     ``assignments`` is parallel to ``papers``: one ``[vid, created]``
     pair per co-author position of the matching paper — the complete
     decision trail of the burst(s) since the previous checkpoint.
-    ``stream`` is the encoded :class:`~repro.core.incremental.
+    ``stream`` is the encoded :class:`~repro.core.streaming.
     IncrementalReport` *at this boundary* (counters and timing are
     wall-clock facts a replay cannot re-derive, so they travel whole —
     they are O(1) in corpus size).

@@ -30,7 +30,7 @@ Typical use::
     iuad.save("fitted.jsonl")                  # or fitted.sqlite
     ...
     iuad = IUAD.load("fitted.jsonl")           # fresh process, no re-fit
-    IncrementalDisambiguator(iuad).add_paper(new_paper)
+    StreamingIngestor(iuad).add_paper(new_paper)
 
 Streaming checkpoints ride the same format — see
 :meth:`repro.core.streaming.StreamingIngestor.checkpoint` /
@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
 from ..core.config import IUADConfig
-from ..core.incremental import IncrementalReport
+from ..core.streaming import IncrementalReport
 from ..core.sharding import Shard, ShardIndex, ShardPlan
 from ..data.records import Corpus
 from ..graphs.collab import CollaborationNetwork

@@ -26,10 +26,12 @@ The coordinator of the serving layer's reader/writer split:
 
 Ordering contract: requests are applied in enqueue order, and the
 parity contract of ``add_papers`` guarantees the resulting clustering is
-identical to a serial ``add_paper`` replay of the same sequence — burst
-boundaries (which depend on queue timing) can never change the outcome.
-The load harness (``benchmarks/test_serving.py``) asserts exactly that
-against a live server.
+identical to a serial one-paper-at-a-time replay of the accepted
+requests — burst boundaries (which depend on queue timing) can never
+change the outcome.  A request rejected by ``duplicate_paper_policy=
+"raise"`` fails alone; the requests coalesced with it still apply.  The
+load harness (``benchmarks/test_serving.py``) asserts the parity against
+a live server.
 """
 
 from __future__ import annotations
@@ -275,64 +277,90 @@ class Engine:
     async def _flush(self, requests: list[_IngestRequest]) -> None:
         if not requests:
             return
-        papers = [p for request in requests for p in request.papers]
         try:
-            assignments, view, burst_s, publish_s = await asyncio.to_thread(
-                self._apply_and_project, papers
+            outcomes, view, burst_s, publish_s = await asyncio.to_thread(
+                self._apply_and_project, requests
             )
         except Exception as exc:  # reject the burst, keep serving
-            for request in requests:
-                if not request.future.done():
-                    request.future.set_exception(exc)
-            return
-        # THE swap: readers holding the old reference keep a consistent
-        # pre-burst world; every new read sees the post-burst world.
-        self._view = view
-        self.n_swaps += 1
-        self.n_papers_ingested += len(papers)
-        self.last_burst_seconds = burst_s
-        self.last_publish_seconds = publish_s
-        if self.burst_log is not None:
-            self.burst_log.append([p.pid for p in papers])
-        offset = 0
-        for request in requests:
-            per_paper = assignments[offset: offset + len(request.papers)]
-            offset += len(request.papers)
-            if not request.future.done():
-                request.future.set_result(
-                    IngestResult(
-                        generation=view.generation,
-                        n_papers=len(request.papers),
-                        n_attached=sum(
-                            1 for batch in per_paper
-                            for a in batch if not a.created
-                        ),
-                        n_created=sum(
-                            1 for batch in per_paper
-                            for a in batch if a.created
-                        ),
-                        n_duplicates=sum(
-                            1 for batch in per_paper
-                            for a in batch if a.score != a.score
-                        ),
-                        assignments=[
-                            [(a.vid, a.created) for a in batch]
-                            for batch in per_paper
-                        ],
-                    )
+            outcomes, view = [exc] * len(requests), None
+        if view is not None:
+            # THE swap: readers holding the old reference keep a
+            # consistent pre-burst world; every new read sees the
+            # post-burst world.
+            self._view = view
+            self.n_swaps += 1
+            self.last_burst_seconds = burst_s
+            self.last_publish_seconds = publish_s
+            applied = [
+                p.pid
+                for request, outcome in zip(requests, outcomes)
+                if not isinstance(outcome, Exception)
+                for p in request.papers
+            ]
+            self.n_papers_ingested += len(applied)
+            if self.burst_log is not None:
+                self.burst_log.append(applied)
+        for request, per_paper in zip(requests, outcomes):
+            if request.future.done():
+                continue
+            if isinstance(per_paper, Exception):
+                request.future.set_exception(per_paper)
+                continue
+            mentions = [a for batch in per_paper for a in batch]
+            request.future.set_result(
+                IngestResult(
+                    generation=self._view.generation,
+                    n_papers=len(request.papers),
+                    n_attached=sum(not a.created for a in mentions),
+                    n_created=sum(a.created for a in mentions),
+                    n_duplicates=sum(a.score != a.score for a in mentions),
+                    assignments=[
+                        [(a.vid, a.created) for a in batch]
+                        for batch in per_paper
+                    ],
                 )
+            )
 
-    def _apply_and_project(self, papers: list[Paper]):
-        """Worker-thread body: one burst + one view projection."""
+    def _apply(self, requests: list[_IngestRequest]) -> list[Any]:
+        """One burst; per request, its assignments or its exception.
+
+        A duplicate under ``duplicate_paper_policy="raise"`` rejects the
+        whole burst before any state is touched; the requests are then
+        applied one at a time, in queue order, so that only the request
+        carrying the duplicate fails.
+        """
+        corpus = self.ingestor.iuad.corpus_
+        n_before = len(corpus)
+        try:
+            assignments = iter(self.ingestor.add_papers(
+                [p for request in requests for p in request.papers]
+            ))
+        except ValueError:
+            if len(requests) == 1 or len(corpus) != n_before:
+                raise
+            outcomes: list[Any] = []
+            for request in requests:
+                try:
+                    outcomes.append(self.ingestor.add_papers(request.papers))
+                except Exception as exc:
+                    outcomes.append(exc)
+            return outcomes
+        return [[next(assignments) for _ in r.papers] for r in requests]
+
+    def _apply_and_project(self, requests: list[_IngestRequest]):
+        """Worker-thread body: one burst + one view projection (none
+        when every request was rejected)."""
         t0 = time.perf_counter()
-        assignments = self.ingestor.add_papers(papers)
+        outcomes = self._apply(requests)
         t1 = time.perf_counter()
-        view = FittedView.of(
-            self.ingestor.iuad,
-            generation=self._view.generation + 1,
-            swapped_at=time.time(),
-        )
-        return assignments, view, t1 - t0, time.perf_counter() - t1
+        view = None
+        if not all(isinstance(o, Exception) for o in outcomes):
+            view = FittedView.of(
+                self.ingestor.iuad,
+                generation=self._view.generation + 1,
+                swapped_at=time.time(),
+            )
+        return outcomes, view, t1 - t0, time.perf_counter() - t1
 
     async def _checkpoint(self, request: _CheckpointRequest) -> None:
         try:

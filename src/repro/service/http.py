@@ -34,12 +34,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 from dataclasses import dataclass
 from typing import Any, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from ..io.schema import decode_paper
 from .engine import Engine
+
+LOG = logging.getLogger("repro.service")
 
 #: Request bodies above this are rejected (a serving endpoint is not a
 #: bulk loader; warm starts go through snapshots).
@@ -194,6 +197,10 @@ class ServiceServer:
                 except BadRequest as exc:
                     status, payload = 400, {"error": str(exc)}
                 except Exception as exc:  # keep the server alive
+                    LOG.error(
+                        "%s %s failed", request.method, request.path,
+                        exc_info=True,
+                    )
                     status, payload = 500, {
                         "error": f"{type(exc).__name__}: {exc}"
                     }

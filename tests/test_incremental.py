@@ -1,6 +1,8 @@
 """Tests for incremental single-paper disambiguation (Section V-E)."""
 
 import copy
+import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -10,11 +12,15 @@ from repro.core import (
     IUADConfig,
     IncrementalDisambiguator,
     IncrementalReport,
+    ShardedIUAD,
+    StreamingIngestor,
 )
+from repro.core.incremental import sequential_add_paper
 from repro.data import Corpus, Paper, build_testing_dataset
 from repro.data.testing import per_name_truth, split_for_incremental
 from repro.eval import micro_metrics
 from repro.graphs.wl import ball
+from repro.similarity.batch import VertexArrays
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +78,10 @@ class TestIncremental:
     def test_streaming_drops_stale_wl_ball(self, base_setup):
         """Regression: after a streamed paper inserts an edge, every vertex
         within ``wl_iterations`` hops of the touched endpoints must lose its
-        cached profile (2-hop neighbours kept stale γ1 caches before)."""
+        cached profile (2-hop neighbours kept stale γ1 caches before).
+
+        The conservative radius-h drop is the oracle's; ``add_papers``
+        drops only the exact value stain (``TestNoStaleCache``)."""
         iuad, _td, new_pids, full_corpus = base_setup
         inc = IncrementalDisambiguator(iuad)
         gcn, computer = iuad.gcn_, iuad.computer_
@@ -86,7 +95,7 @@ class TestIncremental:
         )
         for vertex in gcn:
             computer.profile(vertex.vid)
-        assignments = inc.add_paper(paper)
+        assignments = sequential_add_paper(inc, paper)
         assert len(assignments) >= 2  # an edge was recovered
         radius = max(1, iuad.config.wl_iterations)
         for assignment in assignments:
@@ -296,3 +305,167 @@ class TestIncrementalQuality:
             inc.add_paper(small_corpus[pid])
         # paper reports < 50 ms/paper on full DBLP; our corpus is far smaller
         assert inc.report.avg_ms_per_paper < 200.0
+
+
+class TestOneIngestPath:
+    def test_one_class_under_both_names(self):
+        assert IncrementalDisambiguator is StreamingIngestor
+
+    def test_add_paper_is_a_one_paper_burst(self, base_setup):
+        iuad, _td, _new, _full = base_setup
+        inc = IncrementalDisambiguator(copy.deepcopy(iuad))
+        paper = Paper(10**7 + 500, ("Solo Burst",), "one paper", "V", 2021)
+        (assignment,) = inc.add_paper(paper)
+        assert assignment.created
+        assert inc.report.n_batches == inc.report.n_waves == 1
+        assert inc.last_batch.n_papers == inc.last_batch.n_fresh == 1
+
+
+# --------------------------------------------------------------------- #
+# no stale cached value: the invariant behind the exact value stain
+# --------------------------------------------------------------------- #
+def _profile_key(profile):
+    return (
+        profile.name, profile.n_papers, profile.keywords,
+        profile.keyword_years, profile.venues, profile.top_venue,
+        profile.triangles, profile.wl_features,
+    )
+
+
+def assert_no_stale_cache(computer):
+    """Every cached column set and profile equals a fresh build.
+
+    The fresh build runs on a cache-cleared copy of the engine (same
+    interners, so column ids agree); the live caches stay untouched.
+    """
+    engine, profiles = computer._engine, computer._profiles
+    shared = (
+        engine._embeddings, engine._word_frequencies,
+        engine._venue_frequencies,
+    )
+    clean = copy.deepcopy(engine, {id(x): x for x in shared})
+    clean.clear()
+    cached = sorted(engine.cached_vids())
+    computer._engine, computer._profiles = clean, {}
+    try:
+        fresh = computer._build_columns(cached) if cached else []
+        fresh_profiles = [computer._build_profile(vid) for vid in profiles]
+    finally:
+        computer._engine, computer._profiles = engine, profiles
+    for new in fresh:
+        old = engine._arrays[new.vid]
+        for field in dataclasses.fields(VertexArrays):
+            if field.name != "cent_slot":
+                assert np.array_equal(
+                    getattr(old, field.name), getattr(new, field.name)
+                ), f"vertex {new.vid} kept a stale {field.name}"
+        assert (old.cent_slot < 0) == (new.cent_slot < 0)
+        if new.cent_slot >= 0:
+            assert np.array_equal(
+                engine._cent_matrix[old.cent_slot],
+                clean._cent_matrix[new.cent_slot],
+            ), f"vertex {new.vid} kept a stale centroid"
+    for new in fresh_profiles:
+        old = profiles[new.vid]
+        assert _profile_key(old) == _profile_key(new), (
+            f"vertex {new.vid} kept a stale profile"
+        )
+        assert np.array_equal(old.centroid, new.centroid)
+
+
+def _warm(fitted, papers):
+    """Cache columns and profiles around the names the papers carry, so
+    the ingest has cached values to leave stale."""
+    gcn, computer = fitted.gcn_, fitted.computer_
+    seeds = {
+        vid
+        for paper in papers
+        for name in paper.authors
+        for vid in gcn.vertices_of_name(name)
+    }
+    radius = max(1, fitted.config.wl_iterations) + 1
+    warm = sorted({v for s in seeds for v in ball(gcn, s, radius)})
+    computer.pair_matrix(list(zip(warm, warm[1:])))
+    for vid in warm[::2]:
+        computer.profile(vid)
+
+
+@pytest.fixture(scope="module")
+def stale_world(small_corpus):
+    td = build_testing_dataset(small_corpus, n_names=10)
+    _base, new_pids = split_for_incremental(td, 30)
+    new_set = set(new_pids)
+    base = Corpus(p for p in small_corpus if p.pid not in new_set)
+    plain = IUAD(IUADConfig()).fit(base, names=td.names)
+    sharded = ShardedIUAD(IUADConfig(max_shard_size=300)).fit(
+        base, names=td.names
+    )
+    return plain, sharded, [small_corpus[pid] for pid in new_pids]
+
+
+class TestNoStaleCache:
+    """After every ingest, every cached value equals a fresh build."""
+
+    def test_single_paper_ingests(self, stale_world):
+        plain, _sharded, burst = stale_world
+        fitted = copy.deepcopy(plain)
+        _warm(fitted, burst[:12])
+        inc = IncrementalDisambiguator(fitted)
+        for paper in burst[:12]:
+            inc.add_paper(paper)
+            assert_no_stale_cache(fitted.computer_)
+
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_shuffled_bursts(self, stale_world, seed):
+        plain, _sharded, burst = stale_world
+        fitted = copy.deepcopy(plain)
+        shuffled = list(burst)
+        random.Random(seed).shuffle(shuffled)
+        _warm(fitted, shuffled)
+        ingestor = StreamingIngestor(fitted)
+        for i in range(0, len(shuffled), 10):
+            ingestor.add_papers(shuffled[i: i + 10])
+            assert_no_stale_cache(fitted.computer_)
+
+    def test_same_paper_homonyms(self, stale_world):
+        plain, _sharded, burst = stale_world
+        fitted = copy.deepcopy(plain)
+        known = next(
+            name
+            for name in fitted.corpus_.names
+            if len(fitted.gcn_.vertices_of_name(name)) >= 2
+        )
+        pid = max(p.pid for p in fitted.corpus_) + 10**6
+        papers = burst[:8] + [
+            Paper(pid, (known, known), "twin homonym graphs", "V-X", 2021),
+            Paper(pid + 1, ("Aa Stale", known), "bridge", "V-X", 2022),
+            Paper(pid + 2, (known, "Aa Stale", known), "trio", "V-Y", 2022),
+        ]
+        _warm(fitted, papers)
+        ingestor = StreamingIngestor(fitted)
+        ingestor.add_papers(papers[:9])
+        assert_no_stale_cache(fitted.computer_)
+        ingestor.add_papers(papers[9:])
+        assert_no_stale_cache(fitted.computer_)
+
+    def test_sharded_fit_with_bridging_paper(self, stale_world):
+        _plain, sharded, burst = stale_world
+        fitted = copy.deepcopy(sharded)
+        index = fitted.shard_index_
+        by_shard: dict[int, str] = {}
+        for name in fitted.corpus_.names:
+            sid = index.shard_of_name(name)
+            if sid is not None:
+                by_shard.setdefault(sid, name)
+        name_a, name_b = list(by_shard.values())[:2]
+        pid = max(p.pid for p in fitted.corpus_) + 10**6
+        papers = burst[:10] + [
+            Paper(pid, (name_a, name_b), "bridging work", "V-B", 2021),
+        ] + burst[10:20]
+        _warm(fitted, papers)
+        ingestor = StreamingIngestor(fitted)
+        bridges = index.n_bridges
+        for i in range(0, len(papers), 7):
+            ingestor.add_papers(papers[i: i + 7])
+            assert_no_stale_cache(fitted.computer_)
+        assert index.n_bridges > bridges

@@ -26,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import logging
 import subprocess
 import sys
 import threading
@@ -39,6 +40,7 @@ from repro.core import (
     IncrementalDisambiguator,
     StreamingIngestor,
 )
+from repro.core.incremental import sequential_add_paper
 from repro.data import Corpus, Paper
 from repro.io import Snapshot, snapshot_header, snapshot_of, verify_snapshot
 from repro.service import (
@@ -80,11 +82,11 @@ def restored_ingestor() -> StreamingIngestor:
 
 
 def serial_view(papers) -> FittedView:
-    """The reference: sequential add_paper over a fresh restore."""
+    """The reference: the one-at-a-time oracle over a fresh restore."""
     estimator = Snapshot.load(FIXTURE).restore()
-    stream = IncrementalDisambiguator(estimator)
+    stream = StreamingIngestor(estimator)
     for paper in papers:
-        stream.add_paper(paper)
+        sequential_add_paper(stream, paper)
     return FittedView.of(estimator)
 
 
@@ -247,6 +249,35 @@ class TestEngine:
 
         asyncio.run(scenario())
 
+    def test_duplicate_fails_only_its_own_request(self):
+        """Regression: one client's duplicate pid rejected every request
+        coalesced into its burst.  Queued ``[A]``, ``[duplicate]``,
+        ``[B]`` drain as one burst: A and B apply, only the duplicate's
+        request raises, and the view is the oracle replay of A and B."""
+        papers = probe_papers(6)
+        a, b = papers[:3], papers[3:]
+
+        async def scenario():
+            ingestor = restored_ingestor()
+            duplicate = ingestor.iuad.corpus_[0]
+            async with Engine(ingestor, max_batch=64) as engine:
+                futures = [
+                    await engine.ingest(batch, wait=False)
+                    for batch in (a, [duplicate], b)
+                ]
+                outcomes = await asyncio.gather(
+                    *futures, return_exceptions=True
+                )
+            return engine, outcomes
+
+        engine, (got_a, got_dup, got_b) = asyncio.run(scenario())
+        assert isinstance(got_dup, ValueError)
+        assert "already" in str(got_dup)
+        assert got_a.n_papers == 3 and got_b.n_papers == 3
+        assert got_a.generation <= got_b.generation
+        assert engine.n_papers_ingested == 6
+        assert engine.view == serial_view(a + b)
+
     def test_checkpoint_mid_queue_equals_drain_then_checkpoint(
         self, tmp_path
     ):
@@ -402,12 +433,12 @@ def test_readers_never_observe_torn_views():
     assert violations == []
     # expected fingerprint at every burst boundary, by serial replay
     estimator = Snapshot.load(FIXTURE).restore()
-    stream = IncrementalDisambiguator(estimator)
+    stream = StreamingIngestor(estimator)
     boundary = {0: FittedView.of(estimator).fingerprint}
     by_pid = {p.pid: p for p in papers}
     for generation, pids in enumerate(engine.burst_log, start=1):
         for pid in pids:
-            stream.add_paper(by_pid[pid])
+            sequential_add_paper(stream, by_pid[pid])
         boundary[generation] = FittedView.of(estimator).fingerprint
     for samples in observed:
         assert samples, "a reader thread recorded nothing"
@@ -570,6 +601,25 @@ class TestHTTP:
             "POST", "/checkpoint", {"path": str(target), "mode": "nope"}
         )
         assert status == 400 and "mode" in error["error"]
+
+    def test_handler_exception_logs_its_traceback(
+        self, service, caplog, monkeypatch
+    ):
+        def broken_stats():
+            raise RuntimeError("stats exploded")
+
+        monkeypatch.setattr(service.engine, "stats", broken_stats)
+        with caplog.at_level(logging.ERROR, logger="repro.service"):
+            status, error = service.request("GET", "/stats")
+        assert status == 500
+        assert error == {"error": "RuntimeError: stats exploded"}
+        (record,) = [
+            r for r in caplog.records if r.name == "repro.service"
+        ]
+        assert "GET /stats" in record.getMessage()
+        assert record.exc_info is not None
+        assert "Traceback" in caplog.text
+        assert "stats exploded" in caplog.text
 
     def test_error_surfaces(self, service):
         status, error = service.request("GET", "/who-is?pid=0")

@@ -1,12 +1,13 @@
-"""Batch-vs-sequential streaming parity (``StreamingIngestor.add_papers``).
+"""Burst-vs-oracle streaming parity (``StreamingIngestor.add_papers``).
 
-The contract pinned here: ingesting a burst through
-:meth:`repro.core.streaming.StreamingIngestor.add_papers` produces the
-same GCN (vertex ids, names, paper attributions, mention payloads,
-edges), the same assignments and the same report counters as looping
-:meth:`~repro.core.incremental.IncrementalDisambiguator.add_paper` over
-the burst in the same order — over shuffled bursts, including same-paper
-homonyms, cross-shard bridging papers, and duplicate pids.
+The contract pinned here: ingesting a stream through
+:meth:`repro.core.streaming.StreamingIngestor.add_papers`, however it is
+cut into bursts, produces the same GCN (vertex ids, names, paper
+attributions, mention payloads, edges), the same assignments and the
+same report counters as the paper-faithful per-mention loop
+:func:`repro.core.incremental.sequential_add_paper` over the stream in
+the same order — over shuffled and randomly split bursts, including
+same-paper homonyms, cross-shard bridging papers, and duplicate pids.
 """
 
 from __future__ import annotations
@@ -16,14 +17,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     IUAD,
     IUADConfig,
-    IncrementalDisambiguator,
     ShardedIUAD,
     StreamingIngestor,
 )
+from repro.core.incremental import sequential_add_paper
 from repro.data import Corpus, Paper, build_testing_dataset
 from repro.data.testing import split_for_incremental
 
@@ -69,10 +72,10 @@ def counter_state(report):
 
 
 def assert_burst_parity(fitted, burst):
-    """Run both paths on deep copies and compare everything."""
+    """Run the burst and the oracle on deep copies; compare everything."""
     seq = copy.deepcopy(fitted)
-    seq_stream = IncrementalDisambiguator(seq)
-    seq_assignments = [seq_stream.add_paper(paper) for paper in burst]
+    seq_stream = StreamingIngestor(seq)
+    seq_assignments = [sequential_add_paper(seq_stream, p) for p in burst]
 
     bat = copy.deepcopy(fitted)
     ingestor = StreamingIngestor(bat)
@@ -162,9 +165,9 @@ class TestBurstParity:
         ingestor.add_papers(burst[:20])
         ingestor.add_papers(burst[20:40])
         seq = copy.deepcopy(fitted)
-        stream = IncrementalDisambiguator(seq)
+        stream = StreamingIngestor(seq)
         for paper in burst[:40]:
-            stream.add_paper(paper)
+            sequential_add_paper(stream, paper)
         assert network_state(seq.gcn_) == network_state(bat.gcn_)
         assert ingestor.report.n_batches == 2
         assert ingestor.report.n_papers == 40
@@ -243,8 +246,8 @@ class TestDuplicatesAcrossRestart:
         ]
         assert all(np.isnan(a.score) for a in replay)
         assert resumed.report.n_duplicates == live.report.n_duplicates == 1
-        # the scalar path agrees after the restore too
-        scalar = resumed.add_paper(burst[1])
+        # the oracle agrees after the restore too
+        scalar = sequential_add_paper(resumed, burst[1])
         assert [(a.name, a.position, a.vid, a.created) for a in scalar] == [
             (a.name, a.position, a.vid, a.created)
             for a in live.add_paper(burst[1])
@@ -306,3 +309,71 @@ class TestShardedStreamingParity:
         assert bulk == scalar
         assert a.n_shards == b.n_shards
         assert a.n_bridges == b.n_bridges
+
+
+# --------------------------------------------------------------------- #
+# property: any cut of a stream into bursts matches the oracle
+# --------------------------------------------------------------------- #
+MAX_BURST = 8
+
+
+@pytest.fixture(scope="module")
+def oracle_streams(small_corpus):
+    """A held-out stream with duplicates under ``"return"``, and the
+    oracle's outcome on a plain and on a sharded fit (computed once: it
+    does not depend on how the stream is cut)."""
+    td = build_testing_dataset(small_corpus, n_names=8)
+    _base, new_pids = split_for_incremental(td, 24)
+    new_set = set(new_pids)
+    base = Corpus(p for p in small_corpus if p.pid not in new_set)
+    held = [small_corpus[pid] for pid in new_pids]
+    known = next(iter(base))
+    twin = next(n for n in base.names if len(base.papers_of_name(n)) >= 3)
+    next_pid = max(p.pid for p in small_corpus) + 10**6
+    # Duplicates a few papers apart (in-burst or cross-burst depending
+    # on the cut), an immediate repeat, a base paper, and a homonym twin.
+    stream = (
+        held[:6] + [held[3]] + held[6:9] + [held[8], known]
+        + [Paper(next_pid, (twin, twin), "twin homonyms", "V-T", 2021)]
+        + held[9:] + [held[0], next(iter(base))]
+    )
+    fits = {
+        "plain": IUAD(IUADConfig(duplicate_paper_policy="return")).fit(
+            base, names=td.names
+        ),
+        "sharded": ShardedIUAD(IUADConfig(
+            duplicate_paper_policy="return", max_shard_size=300
+        )).fit(base, names=td.names),
+    }
+    outcomes = {}
+    for kind, fitted in fits.items():
+        oracle = StreamingIngestor(copy.deepcopy(fitted))
+        assignments = [sequential_add_paper(oracle, p) for p in stream]
+        outcomes[kind] = (
+            network_state(oracle.iuad.gcn_),
+            assignment_keys(assignments),
+            counter_state(oracle.report),
+        )
+    return stream, fits, outcomes
+
+
+@pytest.mark.parametrize("kind", ["plain", "sharded"])
+@settings(max_examples=10, deadline=None)
+@given(sizes=st.lists(
+    st.integers(1, MAX_BURST), min_size=1, max_size=40
+))
+def test_random_burst_splits_match_oracle(oracle_streams, kind, sizes):
+    stream, fits, outcomes = oracle_streams
+    ingestor = StreamingIngestor(copy.deepcopy(fits[kind]))
+    got: list = []
+    start = 0
+    for size in sizes:
+        got.extend(ingestor.add_papers(stream[start: start + size]))
+        start += size
+    got.extend(ingestor.add_papers(stream[start:]))
+    assert (
+        network_state(ingestor.iuad.gcn_),
+        assignment_keys(got),
+        counter_state(ingestor.report),
+    ) == outcomes[kind]
+    assert ingestor.report.n_duplicates == 5
