@@ -13,7 +13,9 @@ stay **flat** as the corpus grows — the recorded latencies pin append at
 the largest corpus within 2× of the smallest — while a full-snapshot
 write at the same moments grows with the corpus.  ``who_is`` straight
 from the indexed SQLite file (:mod:`repro.io.query`) is timed next to
-the full-materialisation load it avoids.
+the full-materialisation load it avoids.  The first and last records'
+byte lengths at the largest corpus show that records stay flat along
+the chain.
 
 The record lands in ``BENCH_snapshot.json`` at the repo root (tracked;
 full-mode runs refresh it — commit the refresh together with io/
@@ -132,6 +134,7 @@ def test_delta_append_flat_while_full_save_grows(tmp_path):
     append_best: dict[int, float] = {}
     full_save: dict[int, float] = {}
     log_bytes: dict[int, int] = {}
+    record_bytes: dict[int, list[int]] = {}
     largest = DELTA_SIZES[-1]
     who_is_per_query = full_load_seconds = None
     for n in DELTA_SIZES:
@@ -160,6 +163,10 @@ def test_delta_append_flat_while_full_save_grows(tmp_path):
             times.append(time.perf_counter() - t0)
         append_best[n] = min(times)
         log_bytes[n] = delta_log_path(base).stat().st_size
+        record_bytes[n] = [
+            len(line)
+            for line in delta_log_path(base).read_bytes().splitlines()
+        ]
         t0 = time.perf_counter()
         snapshot_of(ingestor.iuad, stream=ingestor.report).save(
             tmp_path / f"full_{n}.jsonl"
@@ -201,6 +208,10 @@ def test_delta_append_flat_while_full_save_grows(tmp_path):
             append_best[largest] / max(append_best[smallest], 1e-9), 2
         ),
         delta_log_bytes_largest=log_bytes[largest],
+        # every burst holds BURST papers; with O(1) stream counters the
+        # last record is about as long as the first
+        delta_record_bytes_first=record_bytes[largest][0],
+        delta_record_bytes_last=record_bytes[largest][-1],
     )
     print("\ndelta append:", payload)
 

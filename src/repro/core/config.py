@@ -96,11 +96,6 @@ class IUADConfig:
             (``created=False``, ``score=nan``) and nothing is mutated.
             Either way a duplicate can no longer corrupt the
             one-mention-per-paper invariant by being attached twice.
-        incremental_timing_window: How many recent per-paper wall-clock
-            samples :class:`repro.core.streaming.IncrementalReport`
-            retains (a bounded rolling window).  The Table-VI average
-            stays exact via running sums regardless of the window size;
-            the window only bounds memory on long streams.
         checkpoint_every_n_papers: Automatic durable checkpointing of the
             streaming path: after at least this many freshly ingested
             papers, :class:`repro.core.streaming.StreamingIngestor`
@@ -147,7 +142,6 @@ class IUADConfig:
     gamma_chunk_pairs: int = 2048
     mp_start_method: str | None = None
     duplicate_paper_policy: str = "raise"
-    incremental_timing_window: int = 4096
     checkpoint_every_n_papers: int = 0
     checkpoint_mode: str = "full"
     compact_every_n_deltas: int = 64
@@ -161,11 +155,6 @@ class IUADConfig:
             raise ValueError(
                 "duplicate_paper_policy must be 'raise' or 'return', got "
                 f"{self.duplicate_paper_policy!r}"
-            )
-        if self.incremental_timing_window < 1:
-            raise ValueError(
-                "incremental_timing_window must be >= 1, got "
-                f"{self.incremental_timing_window}"
             )
         if self.checkpoint_every_n_papers < 0:
             raise ValueError(

@@ -67,16 +67,17 @@ class MergeRoundsOutcome:
     """What the Stage-2 decision loop did to a network.
 
     ``network`` is the merged result (the input network is never mutated —
-    the first ``merged()`` call copies).  ``per_name_seconds`` attributes
-    the decision wall-clock to names by pair share, the accounting
-    ``eval/timing.py`` (Table V) sums back into the stage total.
+    the first ``merged()`` call copies).  ``decision_seconds`` is the
+    wall-clock of every round's candidate collection, scoring and
+    decision loop, the decision total ``eval/timing.py`` (Table V)
+    reports.
     """
 
     network: CollaborationNetwork
     n_merges: int
     per_round_candidate_pairs: list[int]
     per_round_merges: list[int]
-    per_name_seconds: dict[str, float]
+    decision_seconds: float
 
 
 def run_merge_rounds(
@@ -113,7 +114,7 @@ def run_merge_rounds(
     cfg = config
     gcn = network
     n_merges = 0
-    per_name: dict[str, float] = {}
+    decision_seconds = 0.0
     per_round_pairs: list[int] = []
     per_round_merges: list[int] = []
     for round_index in range(cfg.merge_rounds):
@@ -131,11 +132,10 @@ def run_merge_rounds(
         # Gather every name's candidates, then score the whole round in
         # one batched call so the engine amortises its sparse assembly
         # over all names instead of paying it per name.
-        t_collect = time.perf_counter()
+        t_round = time.perf_counter()
         if round_index == 0 and round1 is not None:
             name_pairs, scores = round1
             all_pairs = [pair for _name, pairs in name_pairs for pair in pairs]
-            shared_seconds = time.perf_counter() - t_collect
         else:
             name_pairs = []
             all_pairs = []
@@ -143,24 +143,15 @@ def run_merge_rounds(
                 pairs = candidate_pairs_of_name(gcn, name)
                 name_pairs.append((name, pairs))
                 all_pairs.extend(pairs)
-            shared_seconds = time.perf_counter() - t_collect
-
-            t_score = time.perf_counter()
             if all_pairs:
                 scores = match_scores(model, computer.pair_matrix(all_pairs))
             else:
                 scores = np.empty(0, dtype=np.float64)
-            shared_seconds += time.perf_counter() - t_score
         per_round_pairs.append(len(all_pairs))
 
-        # The batched time is attributed to names by pair share, so the
-        # per-name accounting of eval/timing.py (Table V) still sums to
-        # the true decision-stage total.
-        total_pairs = max(len(all_pairs), 1)
         merged_vids: list[int] = []
         offset = 0
         for name, pairs in name_pairs:
-            tn = time.perf_counter()
             for (u, v), score in zip(
                 pairs, scores[offset : offset + len(pairs)]
             ):
@@ -179,11 +170,7 @@ def run_merge_rounds(
                     merged_vids.append(v)
                     round_merges += 1
             offset += len(pairs)
-            per_name[name] = (
-                per_name.get(name, 0.0)
-                + (time.perf_counter() - tn)
-                + shared_seconds * (len(pairs) / total_pairs)
-            )
+        decision_seconds += time.perf_counter() - t_round
         n_merges += round_merges
         per_round_merges.append(round_merges)
         if round_merges == 0 and gcn is not network:
@@ -202,7 +189,7 @@ def run_merge_rounds(
         n_merges=n_merges,
         per_round_candidate_pairs=per_round_pairs,
         per_round_merges=per_round_merges,
-        per_name_seconds=per_name,
+        decision_seconds=decision_seconds,
     )
 
 
@@ -214,6 +201,11 @@ class FitReport:
     (``R_a`` summed over names, Section V-A); later merge rounds re-score
     the consolidated network, and those re-scored pairs are reported per
     round in ``per_round_candidate_pairs`` rather than inflating the total.
+
+    ``decision_seconds`` is the scoring-and-decision total Table V
+    reports: every merge round's candidate collection, γ scoring and
+    decision loop.  A sharded fit sums its γ chunks' compute and its
+    shards' decision loops.
 
     ``gcn_mentions`` counts author occurrences attributed across the final
     network (per-occurrence mention model): it equals the corpus's
@@ -256,7 +248,7 @@ class FitReport:
     gcn_edges: int
     stage1_seconds: float
     stage2_seconds: float
-    per_name_seconds: dict[str, float] = field(default_factory=dict)
+    decision_seconds: float = 0.0
     per_round_candidate_pairs: list[int] = field(default_factory=list)
     per_round_merges: list[int] = field(default_factory=list)
     n_shards: int = 0
@@ -368,7 +360,7 @@ class IUAD:
             gcn_edges=gcn.n_edges,
             stage1_seconds=stage1,
             stage2_seconds=stage2,
-            per_name_seconds=outcome.per_name_seconds,
+            decision_seconds=outcome.decision_seconds,
             per_round_candidate_pairs=outcome.per_round_candidate_pairs,
             per_round_merges=outcome.per_round_merges,
         )

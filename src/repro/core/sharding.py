@@ -103,7 +103,7 @@ from bisect import bisect_right
 from concurrent.futures import (
     Executor, Future, ProcessPoolExecutor, as_completed,
 )
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import shared_memory
 from typing import Iterable, Mapping
 
@@ -630,7 +630,7 @@ class _ShardFit:
     n_merges: int
     per_round_candidate_pairs: list[int]
     per_round_merges: list[int]
-    per_name_seconds: dict[str, float]
+    decision_seconds: float
     seconds: float
 
 
@@ -721,7 +721,7 @@ def _fit_shard(task: _DecisionTask) -> _ShardFit:
         n_merges=outcome.n_merges,
         per_round_candidate_pairs=outcome.per_round_candidate_pairs,
         per_round_merges=outcome.per_round_merges,
-        per_name_seconds=outcome.per_name_seconds,
+        decision_seconds=outcome.decision_seconds,
         seconds=time.perf_counter() - t0,
     )
 
@@ -850,7 +850,6 @@ class _FitOutcome:
     n_train: int
     n_split: int
     shard_fits: list[_ShardFit]
-    per_name_gamma: dict[str, float]
     shard_gamma: dict[int, float]
     phase: _PhaseStats
 
@@ -1194,16 +1193,13 @@ class ShardedIUAD(IUAD):
             - phase.pipeline_seconds,
         )
 
-        per_name_gamma, shard_gamma = self._attribute_gamma(
-            gplan, plan, chunk_secs
-        )
+        shard_gamma = self._attribute_gamma(gplan, plan, chunk_secs)
         return _FitOutcome(
             model=model,
             em_report=em_report,
             n_train=n_train,
             n_split=n_split,
             shard_fits=[fits[shard.index] for shard in plan.shards],
-            per_name_gamma=per_name_gamma,
             shard_gamma=shard_gamma,
             phase=phase,
         )
@@ -1379,7 +1375,7 @@ class ShardedIUAD(IUAD):
                     n_merges=0,
                     per_round_candidate_pairs=[0],
                     per_round_merges=[0],
-                    per_name_seconds={},
+                    decision_seconds=0.0,
                     seconds=0.0,
                 )
                 continue
@@ -1401,26 +1397,23 @@ class ShardedIUAD(IUAD):
     @staticmethod
     def _attribute_gamma(
         gplan: _GammaPlan, plan: ShardPlan, chunk_secs: dict[int, float]
-    ) -> tuple[dict[str, float], dict[int, float]]:
-        """Attribute chunk γ seconds to names and shards by pair share.
+    ) -> dict[int, float]:
+        """Attribute chunk γ seconds to shards by pair share.
 
         γ chunks tile the global pair order and cut across shard
         boundaries, so per-shard γ time is reconstructed by prorating
-        each chunk over its names' candidate pairs — the same accounting
-        the per-name report always used (cf. ``run_merge_rounds``).
+        each chunk over its names' candidate pairs.
         """
-        per_name: dict[str, float] = {}
         per_shard: dict[int, float] = {}
         for task in gplan.tasks:
             seconds = chunk_secs.get(task.index, 0.0)
             total = max(task.n_pairs, 1)
             for name in task.names:
-                share = seconds * (gplan.name_rows[name][1] / total)
-                per_name[name] = per_name.get(name, 0.0) + share
                 shard_id = plan.name_to_shard.get(name)
                 if shard_id is not None:
+                    share = seconds * (gplan.name_rows[name][1] / total)
                     per_shard[shard_id] = per_shard.get(shard_id, 0.0) + share
-        return per_name, per_shard
+        return per_shard
 
     def _build_report(
         self,
@@ -1432,14 +1425,13 @@ class ShardedIUAD(IUAD):
         stage2: float,
         stitch_seconds: float,
     ) -> FitReport:
-        per_name: dict[str, float] = dict(outcome.per_name_gamma)
         per_round_pairs: list[int] = []
         per_round_merges: list[int] = []
         shard_stats: list[ShardStats] = []
         n_merges = 0
+        # Table V's decision total: γ chunk compute + each shard's loop.
+        decision_seconds = outcome.phase.gamma_task_seconds
         for shard, fit in zip(plan.shards, outcome.shard_fits):
-            for name, seconds in fit.per_name_seconds.items():
-                per_name[name] = per_name.get(name, 0.0) + seconds
             for i, count in enumerate(fit.per_round_candidate_pairs):
                 if i >= len(per_round_pairs):
                     per_round_pairs.append(0)
@@ -1447,6 +1439,7 @@ class ShardedIUAD(IUAD):
                 per_round_pairs[i] += count
                 per_round_merges[i] += fit.per_round_merges[i]
             n_merges += fit.n_merges
+            decision_seconds += fit.decision_seconds
             shard_stats.append(
                 ShardStats(
                     index=shard.index,
@@ -1465,7 +1458,6 @@ class ShardedIUAD(IUAD):
                     decide_seconds=fit.seconds,
                 )
             )
-        phase = outcome.phase
         return FitReport(
             scn=scn_report,
             em=outcome.em_report,
@@ -1478,7 +1470,7 @@ class ShardedIUAD(IUAD):
             gcn_edges=gcn.n_edges,
             stage1_seconds=stage1,
             stage2_seconds=stage2,
-            per_name_seconds=per_name,
+            decision_seconds=decision_seconds,
             per_round_candidate_pairs=per_round_pairs,
             per_round_merges=per_round_merges,
             n_shards=len(plan.shards),
@@ -1486,17 +1478,5 @@ class ShardedIUAD(IUAD):
             partition_seconds=plan.seconds,
             stitch_seconds=stitch_seconds,
             shard_stats=shard_stats,
-            em_seconds=phase.em_seconds,
-            pipeline_seconds=phase.pipeline_seconds,
-            gamma_wall_seconds=phase.gamma_wall_seconds,
-            split_wall_seconds=phase.split_wall_seconds,
-            decide_wall_seconds=phase.decide_wall_seconds,
-            overlap_seconds=phase.overlap_seconds,
-            gamma_task_seconds=phase.gamma_task_seconds,
-            split_task_seconds=phase.split_task_seconds,
-            decide_task_seconds=phase.decide_task_seconds,
-            n_gamma_chunks=phase.n_gamma_chunks,
-            overlap_gamma_chunks=phase.overlap_gamma_chunks,
-            ipc_task_bytes=phase.ipc_task_bytes,
-            shm_bytes=phase.shm_bytes,
+            **asdict(outcome.phase),
         )

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -96,11 +95,11 @@ class IncrementalReport:
     streamed papers per owning (canonical) shard id, the locality
     evidence that every insert touched exactly one name block.
 
-    Timing is bounded: only the last ``timing_window`` per-paper samples
-    are retained (:attr:`per_paper_seconds`), so a million-paper stream
-    never holds a million floats.  :attr:`avg_ms_per_paper` stays *exact*
-    regardless, because it divides the running ``seconds`` sum by
-    ``n_papers`` rather than summing the window.
+    Timing is a total, not per-paper samples: ``seconds`` is the summed
+    wall-clock of every call that ingested a fresh paper, so the report
+    (and every snapshot or delta record carrying it) stays O(1) however
+    long the stream runs.  :attr:`avg_ms_per_paper` divides it by
+    ``n_papers``.
 
     ``n_batches`` / ``n_waves`` count ``add_papers`` calls (``add_paper``
     is a one-paper call) and the vectorised snapshot-scoring rounds they
@@ -116,21 +115,7 @@ class IncrementalReport:
     n_batches: int = 0
     n_waves: int = 0
     seconds: float = 0.0
-    timing_window: int = 4096
     per_shard_papers: dict[int, int] = field(default_factory=dict)
-    _recent_seconds: deque = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.timing_window < 1:
-            raise ValueError(
-                f"timing_window must be >= 1, got {self.timing_window}"
-            )
-        self._recent_seconds = deque(maxlen=self.timing_window)
-
-    def record_paper_seconds(self, elapsed: float) -> None:
-        """Account one paper's wall-clock: exact sum + rolling window."""
-        self.seconds += elapsed
-        self._recent_seconds.append(elapsed)
 
     def count_shards(self, shards: Sequence[int]) -> None:
         """Count one routed paper against each (canonical) shard id."""
@@ -140,34 +125,16 @@ class IncrementalReport:
             )
 
     @property
-    def per_paper_seconds(self) -> list[float]:
-        """The most recent per-paper wall-clock samples (bounded window).
-
-        At most ``timing_window`` entries — the tail of the stream, not
-        its full history.  Use :attr:`avg_ms_per_paper` for the exact
-        whole-stream average.
-        """
-        return list(self._recent_seconds)
-
-    @property
     def avg_ms_per_paper(self) -> float:
         """Average wall-clock per paper in milliseconds (Table VI row).
 
-        Exact over the whole stream (running sums, independent of the
-        bounded sample window).  Guarded for the empty stream: a report
-        that has processed no papers yet answers ``0.0`` instead of
-        dividing by zero.
+        Exact over the whole stream (running sums).  Guarded for the
+        empty stream: a report that has processed no papers yet answers
+        ``0.0`` instead of dividing by zero.
         """
         if self.n_papers == 0:
             return 0.0
         return 1000.0 * self.seconds / self.n_papers
-
-    @property
-    def recent_avg_ms_per_paper(self) -> float:
-        """Average over the retained window only (recent-cost telemetry)."""
-        if not self._recent_seconds:
-            return 0.0
-        return 1000.0 * sum(self._recent_seconds) / len(self._recent_seconds)
 
 
 @dataclass(slots=True)
@@ -274,9 +241,7 @@ class StreamingIngestor:
         if iuad.gcn_ is None or iuad.model_ is None or iuad.computer_ is None:
             raise ValueError("IUAD must be fitted before incremental use")
         self.iuad = iuad
-        self.report = IncrementalReport(
-            timing_window=iuad.config.incremental_timing_window
-        )
+        self.report = IncrementalReport()
         # A sharded fit exposes its name-block routing; inserts are then
         # accounted to (and structurally confined to) the shard owning
         # the paper's names.  Plain IUAD fits have no index.
@@ -719,11 +684,7 @@ class StreamingIngestor:
 
         elapsed = time.perf_counter() - t0
         if fresh:
-            # Amortised per-paper accounting: the exact batch wall-clock
-            # lands in the running sum, one share per paper in the window.
-            share = elapsed / len(fresh)
-            for _ in fresh:
-                self.report.record_paper_seconds(share)
+            self.report.seconds += elapsed
         self.report.n_batches += 1
         self.report.n_waves += 1 if fresh else 0
         self.last_batch = BatchStats(

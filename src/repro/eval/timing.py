@@ -318,9 +318,9 @@ def time_iuad(
     IUAD builds *one* global network and trains *one* model shared by every
     name in the corpus — that is exactly why it avoids the top-down methods'
     repeated per-name work (Section V-F1).  Its per-name cost is therefore
-    the per-name Stage-2 decision time plus the global phases (SCN build,
-    embeddings, EM) amortised over **all** corpus names, not just the
-    evaluated subset.
+    the Stage-2 decision time (``FitReport.decision_seconds``) plus the
+    global phases (SCN build, embeddings, EM) amortised over **all**
+    corpus names, not just the evaluated subset.
     """
     names = list(names)
     iuad = iuad_factory()
@@ -328,7 +328,7 @@ def time_iuad(
     iuad.fit(corpus, names=names)  # type: ignore[attr-defined]
     total = time.perf_counter() - t0
     report = iuad.report_  # type: ignore[attr-defined]
-    decision_time = sum(report.per_name_seconds.values())
+    decision_time = report.decision_seconds
     global_time = max(total - decision_time, 0.0)
     n_all_names = max(len(corpus.names), 1)
     amortised = decision_time + global_time * len(names) / n_all_names

@@ -107,8 +107,3 @@ class SnapshotAdapter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
-
-
-def iter_gcn_vertex_rows(document: dict[str, Any]) -> Iterator[dict[str, Any]]:
-    """GCN vertex rows of a document — the generic query fallback's input."""
-    return iter(document.get("tables", {}).get("gcn_vertices", ()))

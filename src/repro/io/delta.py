@@ -96,9 +96,11 @@ class DeltaRecord:
     pair per co-author position of the matching paper — the complete
     decision trail of the burst(s) since the previous checkpoint.
     ``stream`` is the encoded :class:`~repro.core.streaming.
-    IncrementalReport` *at this boundary* (counters and timing are
-    wall-clock facts a replay cannot re-derive, so they travel whole —
-    they are O(1) in corpus size).
+    IncrementalReport` *at this boundary*: its counters and the
+    ``seconds`` wall-clock total are facts a replay cannot re-derive, so
+    they travel whole.  They are a fixed set of scalars plus one count
+    per shard, so the section does not grow with the stream or the
+    chain.
     """
 
     seq: int

@@ -412,18 +412,16 @@ def _encode_stream(report: IncrementalReport) -> dict[str, Any]:
         "n_batches": report.n_batches,
         "n_waves": report.n_waves,
         "seconds": report.seconds,
-        "timing_window": report.timing_window,
         # JSON objects stringify int keys; decode re-ints them.
         "per_shard_papers": {
             str(shard): count
             for shard, count in report.per_shard_papers.items()
         },
-        "recent_seconds": list(report.per_paper_seconds),
     }
 
 
 def _decode_stream(payload: Mapping[str, Any]) -> IncrementalReport:
-    report = IncrementalReport(
+    return IncrementalReport(
         n_papers=int(payload["n_papers"]),
         n_mentions=int(payload["n_mentions"]),
         n_attached=int(payload["n_attached"]),
@@ -432,15 +430,11 @@ def _decode_stream(payload: Mapping[str, Any]) -> IncrementalReport:
         n_batches=int(payload["n_batches"]),
         n_waves=int(payload["n_waves"]),
         seconds=float(payload["seconds"]),
-        timing_window=int(payload["timing_window"]),
         per_shard_papers={
             int(shard): int(count)
             for shard, count in payload["per_shard_papers"].items()
         },
     )
-    for sample in payload.get("recent_seconds", ()):
-        report._recent_seconds.append(float(sample))
-    return report
 
 
 # --------------------------------------------------------------------- #

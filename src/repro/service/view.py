@@ -159,9 +159,11 @@ class FittedView:
         straight from the stored vertex rows plus the chain's recorded
         decisions — no network, model or similarity computer is ever
         materialised — and produces a **fingerprint-identical** view
-        (the serving CLI's ``--no-full-load`` warm start; chain
-        checksums and contiguity are still enforced, the base
-        fingerprint match is skipped with the base document undecoded).
+        (vertex rows come from the adapter's streaming
+        ``iter_table_rows`` scan, or one full read where it cannot
+        stream; chain checksums and contiguity are still enforced, the
+        base fingerprint match is skipped with the base document
+        undecoded).
         """
         if full_load:
             from ..io.snapshot import Snapshot

@@ -113,13 +113,45 @@ def test_delta_restore_byte_parity(fitted, backend, tmp_path):
     assert restored.model.state_dict() == live.model.state_dict()
     assert restored.stream is not None
     assert restored.stream.n_papers == live.stream.n_papers
-    assert restored.stream.per_paper_seconds == live.stream.per_paper_seconds
+    assert restored.stream.seconds == live.stream.seconds
     # …and canonical-document byte parity against a real full snapshot
     full = tmp_path / ("full" + SUFFIX[backend])
     live.save(full, backend=backend)
     assert document_fingerprint(restored.to_document()) == (
         document_fingerprint(Snapshot.load(full, backend=backend).to_document())
     )
+
+
+#: The whole ``stream`` section of a record: counters and one time total.
+STREAM_KEYS = {
+    "n_papers", "n_mentions", "n_attached", "n_created", "n_duplicates",
+    "n_batches", "n_waves", "seconds", "per_shard_papers",
+}
+
+
+def test_delta_records_stay_flat_along_the_chain(fitted, tmp_path):
+    """A record carries its burst plus O(1) stream counters: same-sized
+    bursts append same-sized records however long the chain grows (a
+    per-paper timing history would make each record longer than the
+    last, and the log quadratic)."""
+    ingestor, base = make_ingestor(
+        fitted, tmp_path, "jsonl", compact_every_n_deltas=0
+    )
+    ingestor.checkpoint()
+    for i in range(48):
+        ingestor.add_papers(
+            [Paper(100 + i, ("X Y", "P A"), "join ordering", "VLDB", 2006)]
+        )
+        ingestor.checkpoint()
+    lines = delta_log_path(base).read_bytes().splitlines()
+    assert len(lines) == 48
+    # slack for digit growth in pids, vids, counters and the float total
+    assert len(lines[-1]) - len(lines[0]) <= 64
+    for line in (lines[0], lines[-1]):
+        assert set(json.loads(line)["delta"]["stream"]) == STREAM_KEYS
+    restored, _info = chained(base)
+    assert restored.stream.n_papers == 48
+    assert restored.stream.seconds == ingestor.report.seconds
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

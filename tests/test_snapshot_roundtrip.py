@@ -26,6 +26,7 @@ from repro.io import (
     snapshot_of,
     verify_snapshot,
 )
+from repro.io.snapshot import _encode_stream as encode_stream
 from repro.io.schema import (
     decode_config,
     decode_network,
@@ -35,6 +36,17 @@ from repro.io.schema import (
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = Path(__file__).with_name("fixtures") / "snapshot_v1.jsonl"
+#: Stream keys of the retired per-paper timing window (v1 files carry them).
+LEGACY_STREAM_KEYS = {"timing_window", "recent_seconds"}
+
+
+def fixture_section(name):
+    """One section payload of the committed v1 fixture, as stored."""
+    for line in FIXTURE.read_text(encoding="utf-8").splitlines():
+        obj = json.loads(line)
+        if obj.get("section") == name:
+            return obj["payload"]
+    raise KeyError(name)
 
 BACKENDS = ("jsonl", "sqlite")
 
@@ -225,8 +237,7 @@ def test_stream_counters_roundtrip(fitted, tmp_path):
     assert resumed.report.n_attached == stream.report.n_attached
     assert resumed.report.n_created == stream.report.n_created
     assert resumed.report.seconds == stream.report.seconds
-    assert resumed.report.per_paper_seconds == stream.report.per_paper_seconds
-    assert resumed.report.timing_window == stream.report.timing_window
+    assert resumed.report.avg_ms_per_paper == stream.report.avg_ms_per_paper
 
 
 def test_auto_checkpoint_every_n_papers(labelled_corpus_module, tmp_path):
@@ -313,6 +324,14 @@ def test_v1_fixture_still_loads_and_serves(tmp_path):
     assert verify_snapshot(snapshot) == []
     resumed = StreamingIngestor.resume(FIXTURE)
     assert resumed.report.n_papers >= 1
+    # The fixture's stream section still carries the retired per-paper
+    # timing window; the counters and the time total survive without it.
+    stored = fixture_section("stream")
+    assert "recent_seconds" in stored and "timing_window" in stored
+    assert encode_stream(resumed.report) == {
+        key: value for key, value in stored.items()
+        if key not in LEGACY_STREAM_KEYS
+    }
     before = len(resumed.iuad.gcn_)
     pid = max(p.pid for p in resumed.iuad.corpus_) + 1
     assignments = resumed.add_paper(
@@ -324,9 +343,42 @@ def test_v1_fixture_still_loads_and_serves(tmp_path):
     resaved = snapshot_of(resumed.iuad, stream=resumed.report).save(
         tmp_path / "resaved.jsonl"
     )
-    computer = read_document(resaved)["sections"]["computer"]
-    assert "batch_threshold" not in computer
+    sections = read_document(resaved)["sections"]
+    assert "batch_threshold" not in sections["computer"]
+    assert not LEGACY_STREAM_KEYS & set(sections["stream"])
+    assert "incremental_timing_window" not in sections["config"]
     assert verify_snapshot(Snapshot.load(resaved)) == []
+
+
+def test_delta_record_with_legacy_stream_keys_replays(tmp_path):
+    """A chain written before the timing window was retired carries
+    ``timing_window`` / ``recent_seconds`` in every record's stream
+    section; replay ignores them and restores the counters."""
+    import shutil
+
+    from repro.data.records import Paper
+    from repro.io import delta_log_path
+    from repro.io.delta import _record_checksum
+
+    base = tmp_path / "legacy.jsonl"
+    shutil.copy(FIXTURE, base)
+    resumed = StreamingIngestor.resume(base)
+    resumed.checkpoint(base, mode="delta")  # re-bases the chain here
+    pid = max(p.pid for p in resumed.iuad.corpus_) + 1
+    resumed.add_paper(Paper(pid, ("X Y", "P A"), "legacy chain", "VLDB", 2020))
+    resumed.checkpoint(base, mode="delta")
+    log = delta_log_path(base)
+    (line,) = log.read_text(encoding="utf-8").splitlines()
+    payload = json.loads(line)["delta"]
+    payload["stream"]["timing_window"] = 4096
+    payload["stream"]["recent_seconds"] = [0.001, 0.002]
+    log.write_text(
+        json.dumps({"delta": payload, "crc": _record_checksum(payload)}) + "\n",
+        encoding="utf-8",
+    )
+    restored, info = Snapshot.load_chain(base)
+    assert info["chain_length"] == 1
+    assert encode_stream(restored.stream) == encode_stream(resumed.report)
 
 
 # --------------------------------------------------------------------- #
