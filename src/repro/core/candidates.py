@@ -40,15 +40,20 @@ def cannot_link_pairs(net: CollaborationNetwork) -> list[Pair]:
     :meth:`~repro.graphs.unionfind.UnionFind.forbid` constraints before any
     merge decision is applied.
     """
-    owners: dict[tuple[str, int], list[int]] = {}
-    for vertex in net:
-        for pid in vertex.papers:
-            owners.setdefault((vertex.name, pid), []).append(vertex.vid)
     pairs: set[Pair] = set()
-    for vids in owners.values():
-        if len(vids) > 1:
-            ordered = sorted(vids)
-            pairs.update(combinations(ordered, 2))
+    for name in net.names:
+        vids = net.vertices_of_name(name)
+        if len(vids) < 2:
+            # A lone vertex has no same-name partner; skipping it keeps a
+            # shard's halo (mostly one-vertex names) off this walk.
+            continue
+        owners: dict[int, list[int]] = {}
+        for vid in vids:
+            for pid in net.papers_of(vid):
+                owners.setdefault(pid, []).append(vid)
+        for shared in owners.values():
+            if len(shared) > 1:
+                pairs.update(combinations(sorted(shared), 2))
     return sorted(pairs)
 
 

@@ -35,7 +35,7 @@ class IUADConfig:
             consolidated clusters they could not match in round one — it
             buys extra recall at some precision (ablation
             ``test_ablations.py`` quantifies the trade).
-        wl_iterations: ``h`` of the WL sub-graph kernel (Eq. 3).
+        wl_iterations: ``h`` of the WL sub-graph kernel (Eq. 3), ``>= 0``.
         decay_alpha: α of the time-consistency similarity (Eq. 7; 0.62 in
             the paper, borrowed from FutureRank).
         sample_rate: Fraction of candidate pairs used to *train* the
@@ -149,6 +149,10 @@ class IUADConfig:
     def __post_init__(self) -> None:
         if self.eta < 1:
             raise ValueError(f"eta must be >= 1, got {self.eta}")
+        if self.wl_iterations < 0:
+            raise ValueError(
+                f"wl_iterations must be >= 0, got {self.wl_iterations}"
+            )
         if self.n_workers < 0:
             raise ValueError(f"n_workers must be >= 0, got {self.n_workers}")
         if self.duplicate_paper_policy not in ("raise", "return"):

@@ -1,6 +1,8 @@
-"""Collaboration-network substrate: graphs, SCN builder, triangles, WL kernel."""
+"""Collaboration-network substrate: graphs, SCN builder, triangles, WL kernel,
+and the one-pass ego build of WL features and triangles."""
 
 from .collab import CollaborationNetwork, Vertex, combine_networks
+from .ego import ego_features
 from .scn import (
     SCNBuilder,
     SCNBuildReport,
@@ -35,6 +37,7 @@ __all__ = [
     "coauthor_triangle_names",
     "combine_networks",
     "count_triangles",
+    "ego_features",
     "independence_tail_probability",
     "iter_triangles",
     "maximal_cliques_of_vertex",

@@ -29,6 +29,7 @@ profiles consume; for pipeline-built networks it is exactly
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .unionfind import UnionFind
@@ -64,6 +65,9 @@ class Vertex:
 
     def __repr__(self) -> str:  # compact debugging output
         return f"Vertex({self.vid}, {self.name!r}, {sorted(self.papers)})"
+
+
+_NAME = attrgetter("name")
 
 
 class CollaborationNetwork:
@@ -121,10 +125,16 @@ class CollaborationNetwork:
         if u == v:
             raise ValueError(f"self-loop on vertex {u}")
         paper_set = set(papers)
-        self._adj[u].setdefault(v, set()).update(paper_set)
-        self._adj[v].setdefault(u, set()).update(paper_set)
+        self._link(u, v, paper_set)
         self._vertices[u].papers.update(paper_set)
         self._vertices[v].papers.update(paper_set)
+
+    def _link(self, u: int, v: int, papers: Iterable[int]) -> None:
+        """The adjacency half of :meth:`add_edge`: add (or extend) the
+        edge's paper set, leaving vertex attribution alone — for builders
+        that set every vertex's exact attribution themselves."""
+        self._adj[u].setdefault(v, set()).update(papers)
+        self._adj[v].setdefault(u, set()).update(papers)
 
     def add_papers(self, vid: int, papers: Iterable[int]) -> None:
         """Attribute extra papers to a vertex (no edge, no mention)."""
@@ -257,6 +267,18 @@ class CollaborationNetwork:
         must not mutate the returned mapping.
         """
         return self._adj[vid]
+
+    def adjacency_rows(
+        self, vids: Iterable[int]
+    ) -> list[Mapping[int, set[int]]]:
+        """:meth:`adjacency` of every vertex of ``vids``, in order, gathered
+        without a method call per vertex (the batched ball and WL walks
+        read thousands of rows per call).  Same no-mutation contract."""
+        return list(map(self._adj.__getitem__, vids))
+
+    def names_of(self, vids: Iterable[int]) -> list[str]:
+        """:meth:`name_of` of every vertex of ``vids``, in order."""
+        return list(map(_NAME, map(self._vertices.__getitem__, vids)))
 
     def degree(self, vid: int) -> int:
         return len(self._adj[vid])
@@ -426,6 +448,7 @@ class CollaborationNetwork:
         """
         out = CollaborationNetwork()
         rep_to_new: dict[int, int] = {}
+        new_of: dict[int, int] = {}  # old vid -> merged vid
         for vid, vertex in self._vertices.items():
             rep = union.find(vid) if vid in union else vid
             if rep not in rep_to_new:
@@ -433,26 +456,26 @@ class CollaborationNetwork:
                     self._vertices[rep].name if rep in self._vertices else vertex.name,
                     vid=rep if preserve_ids else None,
                 )
-            new_vid = rep_to_new[rep]
+            new_vid = new_of[vid] = rep_to_new[rep]
             if out.name_of(new_vid) != vertex.name:
                 raise ValueError(
                     f"illegal merge across names: {out.name_of(new_vid)!r} "
                     f"vs {vertex.name!r}"
                 )
-            out.add_papers(new_vid, vertex.papers)
-        for u, v, papers in self.edges():
-            nu = rep_to_new[union.find(u) if u in union else u]
-            nv = rep_to_new[union.find(v) if v in union else v]
-            if nu != nv:
-                out.add_edge(nu, nv, papers)
-        # add_edge grows vertex paper sets, but edge supports may contain
-        # papers whose *mention* is attributed to a different same-name
-        # vertex; restore the exact attribution (the union of the members'
-        # attributed papers and mentions).
+        # Parallel edges accumulate their paper sets.  Vertex paper sets
+        # are set once below: edge supports may contain papers whose
+        # *mention* is attributed to a different same-name vertex, so the
+        # exact attribution is the union of the members' attributed papers.
+        for u, nbrs in self._adj.items():
+            nu = new_of[u]
+            for v, papers in nbrs.items():
+                nv = new_of[v]
+                if u < v and nu != nv:
+                    out._link(nu, nv, papers)
         attribution: dict[int, set[int]] = {}
         merged_mentions: dict[int, dict[int, int]] = {}
         for vid, vertex in self._vertices.items():
-            new_vid = rep_to_new[union.find(vid) if vid in union else vid]
+            new_vid = new_of[vid]
             attribution.setdefault(new_vid, set()).update(vertex.papers)
             target = merged_mentions.setdefault(new_vid, {})
             for pid, position in vertex.mentions.items():
@@ -503,9 +526,9 @@ class CollaborationNetwork:
         for u in keep:
             for v, papers in self._adj[u].items():
                 if u < v and v in keep_set:
-                    out.add_edge(u, v, set(papers))
-        # add_edge grows paper sets with edge supports; restore the exact
-        # attribution copied from the source vertices.
+                    out._link(u, v, papers)
+        # The exact attribution of the source vertices (add_vertex also
+        # attributes every mentioned paper).
         for vid in keep:
             out.set_papers(vid, self._vertices[vid].papers)
         return out
@@ -580,11 +603,12 @@ def combine_networks(
                         "partition must assign every occurrence once"
                     )
                 owner_of[key] = new_vid
-        for u, v, papers in net.edges():
-            out.add_edge(mapping[u], mapping[v], papers)
-        # Restore exact paper attribution: add_edge pushed edge supports
-        # into vertex paper sets, but a support paper's mention may be
-        # owned by a different same-name vertex (cf. merged()).
+        for u, nbrs in net._adj.items():
+            for v, papers in nbrs.items():
+                if u < v:
+                    out._link(mapping[u], mapping[v], papers)
+        # Exact paper attribution: a support paper's mention may be owned
+        # by a different same-name vertex (cf. merged()).
         for old_vid, new_vid in mapping.items():
             out.set_papers(new_vid, net.vertex(old_vid).papers)
         mappings.append(mapping)

@@ -24,17 +24,7 @@ FeatureMap = Counter  # label -> occurrence count
 
 def ball(net: CollaborationNetwork, vid: int, radius: int) -> set[int]:
     """Vertices within ``radius`` hops of ``vid`` (BFS ball, inclusive)."""
-    seen = {vid}
-    frontier = {vid}
-    for _ in range(radius):
-        reached: set[int] = set()
-        for node in frontier:
-            reached.update(net.adjacency(node).keys())
-        frontier = reached - seen
-        if not frontier:
-            break
-        seen |= frontier
-    return seen
+    return multi_source_ball(net, (vid,), radius)
 
 
 def multi_source_ball(
@@ -42,22 +32,21 @@ def multi_source_ball(
 ) -> set[int]:
     """Vertices within ``radius`` hops of *any* seed (multi-source BFS).
 
-    The shared traversal behind cache invalidation
-    (``SimilarityComputer.invalidate_many``) and the streaming walk's
-    value stains — one implementation, so the two can never drift apart
-    (the parity contract of :mod:`repro.core.streaming` depends on their
-    equivalence).  Unknown seeds are ignored by callers before calling.
+    The one BFS of the package: :func:`ball`, cache invalidation
+    (``SimilarityComputer.invalidate_many``), the streaming walk's value
+    stains and the union of balls behind :func:`.ego.ego_features` all
+    run it, so they can never drift apart (the parity contract of
+    :mod:`repro.core.streaming` depends on their equivalence).  Each
+    level is one C-level set union over the frontier's adjacency rows.
+    Unknown seeds are ignored by callers before calling.
     """
     seen = set(seeds)
-    frontier = list(seen)
+    frontier = seen
     for _ in range(radius):
-        next_frontier: list[int] = []
-        for vid in frontier:
-            for nbr in net.adjacency(vid):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    next_frontier.append(nbr)
-        frontier = next_frontier
+        frontier = set().union(*net.adjacency_rows(frontier)) - seen
+        if not frontier:
+            break
+        seen |= frontier
     return seen
 
 

@@ -40,8 +40,14 @@ venue column).  The columns of all cache-missing vertices of one
 together by a few sort/reduce passes over the ``(vertex, paper)``
 incidence (:meth:`BatchSimilarityEngine.build`) — keyword counts and
 usage-year windows, venue counts and the representative venue, and the
-γ3 centroids.  Only the structural features (WL labels and triangles)
-are gathered per vertex by the owner, straight into integer column ids.
+γ3 centroids.  The structural features come from one
+:func:`repro.graphs.ego.ego_features` pass per call, run by the owner:
+the union of the block's balls becomes a local int CSR, ball membership
+and induced edges become ``(ego, vertex)`` rows, and every WL refinement
+is one sort plus one interner lookup per row.  A refined label's
+interner key is the exact ``bytes`` of one int64 slice (own label, then
+sorted neighbour labels), and a triangle's key is its pair of name
+labels, so the column ids are exact, never fixed-width hashes.
 
 Cache semantics: the engine caches one :class:`VertexArrays` per vertex
 id, built from the owner's network by the columnar pass above — never
@@ -277,9 +283,15 @@ class BatchSimilarityEngine:
         self._ven = FeatureInterner()
         self._ven_weight: list[float] = []  # 1 / log(1 + F_H(venue)), by col
         #: WL label -> column id, extended in place by
-        #: :func:`repro.graphs.wl.wl_feature_map` (both γ paths share it).
+        #: :func:`repro.graphs.ego.ego_features` (names as ``str``, refined
+        #: labels as exact ``bytes`` of own label + sorted neighbour
+        #: labels) and by the scalar oracle's
+        #: :func:`repro.graphs.wl.wl_feature_map` (tuple keys); the key
+        #: types never collide, and each path compares only its own ids.
         self.wl_labels: dict[Hashable, int] = {}
-        self._tri = FeatureInterner()
+        #: ``(name label, name label)`` triangle key -> column id, extended
+        #: in place by :func:`repro.graphs.ego.ego_features`.
+        self.triangles: dict[Hashable, int] = {}
         self._arrays: dict[int, VertexArrays] = {}
         self._kw_weight_arr = np.empty(0, dtype=np.float64)
         self._ven_weight_arr = np.empty(0, dtype=np.float64)
@@ -343,10 +355,6 @@ class BatchSimilarityEngine:
             freq = self._venue_frequencies.get(venue, 1)
             self._ven_weight.append(1.0 / math.log(1.0 + freq))
         return idx
-
-    def intern_triangle(self, clique: Hashable) -> int:
-        """Column id of a name-keyed co-author triangle."""
-        return self._tri.intern(clique)
 
     def paper_slot(self, pid: int) -> int | None:
         """Registry slot of ``pid``, or ``None`` if it is not registered."""
@@ -709,7 +717,9 @@ class BatchSimilarityEngine:
             pair_sums(pair, wl[at_u] * wl[at_v]), wl_norms[us] * wl_norms[vs]
         )
         # γ2 — shared triangles
-        pair = _join([a.tri_cols for a in rows], len(self._tri), us, vs)[0]
+        pair = _join(
+            [a.tri_cols for a in rows], len(self.triangles), us, vs
+        )[0]
         out[:, 1] = np.bincount(pair, minlength=n) / tau
 
         # γ3's multiset fallback and γ4 read the same keyword hits.

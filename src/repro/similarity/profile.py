@@ -24,8 +24,9 @@ Scoring has one path and one test oracle:
 * :meth:`SimilarityComputer.pair_matrix` — the scoring path for every pair
   list, whatever its length.  It builds the columns of every cache-missing
   vertex of a call in one vectorised pass
-  (:meth:`SimilarityComputer._build_columns` gathers papers, WL labels and
-  triangles; :meth:`.batch.BatchSimilarityEngine.build` reduces them) and
+  (:meth:`SimilarityComputer._build_columns` gathers papers, and WL labels
+  and triangles in one :func:`~repro.graphs.ego.ego_features` pass;
+  :meth:`.batch.BatchSimilarityEngine.build` reduces them) and
   evaluates all six γ's for the whole list with the numpy join kernel of
   :mod:`.batch`.  It never builds a :class:`VertexProfile`.
 * :meth:`SimilarityComputer.similarity_vector` (and
@@ -54,6 +55,7 @@ import numpy as np
 
 from ..data.records import Corpus
 from ..graphs.collab import CollaborationNetwork
+from ..graphs.ego import ego_features
 from ..graphs.triangles import coauthor_triangle_names
 from ..graphs.wl import multi_source_ball, wl_feature_map
 from ..text.embeddings import WordEmbeddings, cosine
@@ -334,40 +336,28 @@ class SimilarityComputer:
         Papers are registered vertex by vertex in ascending vid and paper
         id, so keywords and venues are interned in the same first-seen
         order a profile-by-profile build would use.  WL labels and
-        triangles are gathered per vertex, straight into column ids.
+        triangles of the whole block come from one
+        :func:`~repro.graphs.ego.ego_features` pass over a local int CSR
+        of the union of the block's balls: refined WL labels are interned
+        as exact ``bytes`` keys (own label, then sorted neighbour labels,
+        as int64) and triangles as pairs of name labels, straight into
+        column ids.
         """
-        net = self.net
         engine = self._engine
         n_papers: list[int] = []
         slots: list[int] = []
-        wl_owner: list[int] = []
-        wl_cols: list[int] = []
-        wl_counts: list[int] = []
-        tri_owner: list[int] = []
-        tri_cols: list[int] = []
-        for i, vid in enumerate(vids):
+        for vid in vids:
             vertex_slots = self._paper_slots(vid)
             n_papers.append(len(vertex_slots))
             slots.extend(vertex_slots)
-            features = wl_feature_map(
-                net, vid, self.wl_iterations, engine.wl_labels
-            )
-            wl_owner.extend([i] * len(features))
-            wl_cols.extend(features.keys())
-            wl_counts.extend(features.values())
-            triangles = [
-                engine.intern_triangle(t)
-                for t in coauthor_triangle_names(net, vid)
-            ]
-            tri_owner.extend([i] * len(triangles))
-            tri_cols.extend(triangles)
-        return engine.build(
+        wl, tri = ego_features(
+            self.net,
             vids,
-            n_papers,
-            slots,
-            (wl_owner, wl_cols, wl_counts),
-            (tri_owner, tri_cols),
+            self.wl_iterations,
+            engine.wl_labels,
+            engine.triangles,
         )
+        return engine.build(vids, n_papers, slots, wl, tri)
 
     # ------------------------------------------------------------------ #
     def similarity_vector(self, u: int, v: int) -> np.ndarray:

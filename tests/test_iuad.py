@@ -277,6 +277,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IUADConfig(sample_rate=0.0)
 
+    def test_wl_iterations(self):
+        """A negative WL radius fails at construction, not at the first
+        scoring call after the SCN build."""
+        with pytest.raises(ValueError, match="wl_iterations"):
+            IUADConfig(wl_iterations=-1)
+        assert IUADConfig(wl_iterations=0).wl_iterations == 0
+
     def test_families_width(self):
         with pytest.raises(ValueError):
             IUADConfig(families=("gaussian",))
