@@ -34,7 +34,9 @@ class IUADConfig:
             venue/keyword profiles, letting one-paper vertices attach to the
             consolidated clusters they could not match in round one — it
             buys extra recall at some precision (ablation
-            ``test_ablations.py`` quantifies the trade).
+            ``test_ablations.py`` quantifies the trade).  ``>= 1``: each pass
+            builds a new network, so with no pass the GCN would be the
+            Stage-1 SCN itself and relation recovery would add to it.
         wl_iterations: ``h`` of the WL sub-graph kernel (Eq. 3), ``>= 0``.
         decay_alpha: α of the time-consistency similarity (Eq. 7; 0.62 in
             the paper, borrowed from FutureRank).
@@ -74,11 +76,6 @@ class IUADConfig:
             influence each other within a round); with more rounds it
             can miss cross-shard profile updates between rounds — keep
             blocks whole (``0``) when that matters.
-        gamma_chunk_pairs: Candidate pairs per Phase-A γ task of a
-            sharded fit.  Chunks tile the global pair order with whole
-            names and are independent of both shard and worker count —
-            a fat shard never serialises the phase, and serial/pool runs
-            fill byte-identical result buffers.
         mp_start_method: Start method of the sharded fit's process pool
             (``"fork"``, ``"spawn"`` or ``"forkserver"``).  ``None``
             (default) picks ``"fork"`` where the platform offers it —
@@ -139,7 +136,6 @@ class IUADConfig:
     seed: int = 29
     n_workers: int = 0
     max_shard_size: int = 4000
-    gamma_chunk_pairs: int = 2048
     mp_start_method: str | None = None
     duplicate_paper_policy: str = "raise"
     checkpoint_every_n_papers: int = 0
@@ -149,6 +145,10 @@ class IUADConfig:
     def __post_init__(self) -> None:
         if self.eta < 1:
             raise ValueError(f"eta must be >= 1, got {self.eta}")
+        if self.merge_rounds < 1:
+            raise ValueError(
+                f"merge_rounds must be >= 1, got {self.merge_rounds}"
+            )
         if self.wl_iterations < 0:
             raise ValueError(
                 f"wl_iterations must be >= 0, got {self.wl_iterations}"
@@ -178,10 +178,6 @@ class IUADConfig:
         if self.max_shard_size < 0:
             raise ValueError(
                 f"max_shard_size must be >= 0, got {self.max_shard_size}"
-            )
-        if self.gamma_chunk_pairs < 1:
-            raise ValueError(
-                f"gamma_chunk_pairs must be >= 1, got {self.gamma_chunk_pairs}"
             )
         if self.mp_start_method not in (None, "fork", "spawn", "forkserver"):
             raise ValueError(

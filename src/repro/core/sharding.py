@@ -31,7 +31,7 @@ simply follow one another):
    initializer, see :class:`_WorkerContext`).  The candidate pairs of
    every pair-bearing name are laid out in one global
    ``(n_pairs, 6)`` result buffer in canonical ``scn.names`` order and
-   chunked by **candidate-pair count** (``config.gamma_chunk_pairs``,
+   chunked by **candidate-pair count** (:data:`GAMMA_CHUNK_PAIRS`,
    independent of both shard and worker count, so a fat shard never
    serialises the phase and in-process/pool runs fill byte-identical
    buffers); each pool worker writes its chunk's rows straight into a
@@ -571,7 +571,7 @@ class _GammaChunkTask:
     """Phase-A unit: a contiguous run of names, ≈equal candidate pairs.
 
     Chunk boundaries depend only on the network and
-    ``config.gamma_chunk_pairs`` — never on worker count — so in-process
+    :data:`GAMMA_CHUNK_PAIRS` — never on worker count — so in-process
     and pool runs fill byte-identical buffers and a fat shard never
     serialises the phase behind one straggler task.
     """
@@ -596,6 +596,12 @@ class _ChunkDone:
 #: serialising the EM midsection behind one task.  Fixed — never derived
 #: from the worker count — so in-process and pool runs chunk identically.
 SPLIT_CHUNK_PAIRS = 50
+
+#: Candidate pairs per Phase-A γ task.  Chunks tile the global pair
+#: order with whole names and are independent of both shard and worker
+#: count, so a fat shard never serialises the phase and in-process and
+#: pool runs fill byte-identical buffers.
+GAMMA_CHUNK_PAIRS = 2048
 
 
 @dataclass(slots=True)
@@ -737,7 +743,7 @@ class _GammaPlan:
     enumerates (``scn.names`` order, per-name sorted-vid pairs), so the
     training sample is a plain row slice and per-name spans are
     contiguous.  ``tasks`` tile that order into
-    ``config.gamma_chunk_pairs``-sized chunks of whole names.
+    :data:`GAMMA_CHUNK_PAIRS`-sized chunks of whole names.
     """
 
     ordered_names: list[str]
@@ -753,7 +759,7 @@ class _GammaPlan:
         return bisect_right(self.chunk_starts, row) - 1
 
 
-def _plan_gamma(scn: CollaborationNetwork, chunk_pairs: int) -> _GammaPlan:
+def _plan_gamma(scn: CollaborationNetwork) -> _GammaPlan:
     """Lay out every pair-bearing name's candidates into one flat buffer."""
     ordered_names: list[str] = []
     name_rows: dict[str, tuple[int, int]] = {}
@@ -768,7 +774,7 @@ def _plan_gamma(scn: CollaborationNetwork, chunk_pairs: int) -> _GammaPlan:
         all_pairs.extend(pairs)
         offset += len(pairs)
 
-    budget = max(1, chunk_pairs)
+    budget = GAMMA_CHUNK_PAIRS
     tasks: list[_GammaChunkTask] = []
     chunk_of_name: dict[str, int] = {}
     chunk_starts: list[int] = []
@@ -931,7 +937,7 @@ class ShardedIUAD(IUAD):
         decision_names = list(corpus.names if names is None else names)
         decision_set = set(decision_names)
 
-        gplan = _plan_gamma(scn, cfg.gamma_chunk_pairs)
+        gplan = _plan_gamma(scn)
         split_pairs, split_tasks, split_network = self._split_tasks(scn)
         # The training sample is known *before* any γ is computed: the
         # global candidate order is a pure function of the SCN, so the

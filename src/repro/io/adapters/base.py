@@ -99,9 +99,10 @@ class SnapshotAdapter:
     ) -> Iterator[dict[str, Any]] | None:
         """Stream one table's rows without loading the document, or ``None``.
 
-        The query fallback for adapters with no indexed cursor: JSONL
-        streams matching lines; drivers that cannot stream return
-        ``None`` and the caller does a full :meth:`read`.
+        The :class:`repro.io.query.SnapshotQuery` scan for adapters with
+        no indexed cursor (SQLite always has one): JSONL streams matching
+        lines; drivers that cannot stream return ``None`` and the caller
+        does a full :meth:`read`.
         """
         return None
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import sqlite3
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from .base import AdapterCursor, SnapshotAdapter
 
@@ -252,45 +252,6 @@ class SqliteAdapter(SnapshotAdapter):
             raise ValueError(f"{path}: not a readable snapshot ({exc})") from exc
         finally:
             conn.close()
-
-    def iter_table_rows(
-        self, path: Path, table: str
-    ) -> Iterator[dict[str, Any]] | None:
-        if table not in _TABLES:
-            return None
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-
-        def rows() -> Iterator[dict[str, Any]]:
-            try:
-                if table == "papers":
-                    cursor = conn.execute(
-                        "SELECT payload FROM papers ORDER BY seq"
-                    )
-                elif table == "embedding_rows":
-                    cursor = conn.execute(
-                        "SELECT word, vector FROM embedding_rows ORDER BY seq"
-                    )
-                    for word, vector in cursor:
-                        yield [word, json.loads(vector)]
-                    return
-                else:
-                    kind = "vertices" if table.endswith("_vertices") else "edges"
-                    net = table[: table.rindex("_")]
-                    cursor = conn.execute(
-                        f"SELECT payload FROM {kind} WHERE net = ? "
-                        "ORDER BY seq",
-                        (net,),
-                    )
-                for (payload,) in cursor:
-                    yield json.loads(payload)
-            except sqlite3.DatabaseError as exc:
-                raise ValueError(
-                    f"{path}: not a readable snapshot ({exc})"
-                ) from exc
-            finally:
-                conn.close()
-
-        return rows()
 
     def read_meta(self, path: Path) -> dict[str, Any]:
         conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)

@@ -240,17 +240,16 @@ def read_chain(
 
 
 def chain_info(
-    base_path: str | Path, base_seq: int, base_fingerprint: str
-) -> dict[str, Any] | None:
-    """Header-level chain summary for ``snapshot_header`` / ``inspect``.
+    log_path: Path,
+    base_seq: int,
+    base_fingerprint: str,
+    records: list[DeltaRecord],
+) -> dict[str, Any]:
+    """Chain summary of ``snapshot_header`` and ``Snapshot.load_chain``.
 
-    ``None`` when no chain log rides next to the base.  Raises on a
-    damaged log — inspection must surface a torn tail, not hide it.
+    Built from the ``records`` :func:`read_chain` already returned for
+    ``log_path``, so the log is read once.
     """
-    log_path = delta_log_path(base_path)
-    if not log_path.exists():
-        return None
-    records = read_chain(log_path, base_seq, base_fingerprint)
     return {
         "log": str(log_path),
         "log_bytes": log_path.stat().st_size,

@@ -22,10 +22,10 @@ Typical use::
         q.who_is("wei wang")                 # -> {vid: [(pid, pos), ...]}
 
 or one-shot: :func:`owner_of` / :func:`who_is`.  The CLI surface is
-``tools/snapshot.py who-is --no-full-load``.
-:meth:`repro.service.view.FittedView.from_snapshot` with
-``full_load=False`` does not go through this module: it row-scans the
-``gcn_vertices`` table through the adapter's ``iter_table_rows``.
+``tools/snapshot.py who-is --no-full-load``.  The one other reader of
+a snapshot, :meth:`repro.service.view.FittedView.from_snapshot`, decodes
+the whole state and also checks the chain's base fingerprint, which this
+module skips.
 """
 
 from __future__ import annotations

@@ -307,17 +307,11 @@ class Snapshot:
         records = delta_chain.read_chain(
             log_path, snapshot.delta_seq, fingerprint
         )
+        info = delta_chain.chain_info(
+            log_path, snapshot.delta_seq, fingerprint, records
+        )
         for record in records:
             delta_chain.replay_record(snapshot, record)
-        info = {
-            "log": str(log_path),
-            "log_bytes": log_path.stat().st_size,
-            "base_seq": snapshot.delta_seq,
-            "base_fingerprint": fingerprint,
-            "chain_length": len(records),
-            "last_seq": records[-1].seq if records else snapshot.delta_seq,
-            "n_papers": sum(len(r.papers) for r in records),
-        }
         return snapshot, info
 
 
@@ -599,8 +593,12 @@ def snapshot_header(path: str | Path, backend: str | None = None) -> dict:
     header["delta_seq"] = delta_seq
     log_path = delta_chain.delta_log_path(path)
     if log_path.exists():
+        # Raises on a damaged log: inspection must surface a torn tail,
+        # not hide it.
+        fingerprint = delta_chain.document_fingerprint(document)
+        records = delta_chain.read_chain(log_path, delta_seq, fingerprint)
         header["delta"] = delta_chain.chain_info(
-            path, delta_seq, delta_chain.document_fingerprint(document)
+            log_path, delta_seq, fingerprint, records
         )
     else:
         header["delta"] = None

@@ -146,123 +146,23 @@ class FittedView:
         path: Any,
         backend: str | None = None,
         generation: int = 0,
-        full_load: bool = True,
     ) -> "FittedView":
         """Build a view straight from a durable snapshot on disk.
 
-        A delta chain riding next to the base (``<path>.delta``, see
-        :mod:`repro.io.delta`) is folded in either way.
-
-        ``full_load=True`` decodes the snapshot into a live network
-        first (chain fully validated, including the base fingerprint)
-        and projects from it.  ``full_load=False`` builds the clusters
-        straight from the stored vertex rows plus the chain's recorded
-        decisions — no network, model or similarity computer is ever
-        materialised — and produces a **fingerprint-identical** view
-        (vertex rows come from the adapter's streaming
-        ``iter_table_rows`` scan, or one full read where it cannot
-        stream; chain checksums and contiguity are still enforced, the
-        base fingerprint match is skipped with the base document
-        undecoded).
+        Decodes the snapshot with
+        :meth:`~repro.io.snapshot.Snapshot.load_chain` — a delta chain
+        riding next to the base (``<path>.delta``, see
+        :mod:`repro.io.delta`) is validated, base fingerprint included,
+        and replayed — and projects the resulting network.  Point queries
+        that must not decode the file go through
+        :class:`repro.io.query.SnapshotQuery` instead.
         """
-        if full_load:
-            from ..io.snapshot import Snapshot
+        from ..io.snapshot import Snapshot
 
-            snapshot, _info = Snapshot.load_chain(path, backend=backend)
-            return cls._from_network(
-                snapshot.gcn,
-                n_papers=len(snapshot.corpus),
-                generation=generation,
-            )
-        return cls._from_rows(path, backend=backend, generation=generation)
-
-    @classmethod
-    def _from_rows(
-        cls, path: Any, backend: str | None = None, generation: int = 0
-    ) -> "FittedView":
-        from pathlib import Path
-
-        from ..io import delta as delta_chain
-        from ..io.adapters import resolve_adapter
-
-        path = Path(path)
-        adapter = resolve_adapter(path, backend)
-        meta = adapter.read_meta(path)
-        document: dict[str, Any] | None = None
-        if meta is None:
-            document = adapter.read(path)
-            meta = document["meta"]
-
-        def table_rows(table: str) -> Iterable[dict[str, Any]]:
-            nonlocal document
-            rows = adapter.iter_table_rows(path, table)
-            if rows is not None:
-                return rows
-            if document is None:
-                document = adapter.read(path)
-            return document.get("tables", {}).get(table, ())
-
-        clusters: dict[str, dict[int, list[MentionKey]]] = {}
-        for row in table_rows("gcn_vertices"):
-            mentions = {
-                int(pid): int(position)
-                for pid, position in row.get("mentions", ())
-            }
-            # Same unit fallback as _from_network: attributed papers
-            # without an explicit mention payload count as position 0.
-            clusters.setdefault(row["name"], {})[int(row["vid"])] = [
-                (int(pid), mentions.get(int(pid), 0))
-                for pid in row.get("papers", ())
-            ]
-        n_papers = int(meta["n_papers"])
-        n_edges = int(meta["n_gcn_edges"])
-        log_path = delta_chain.delta_log_path(path)
-        if log_path.exists():
-            records = delta_chain.read_chain(
-                log_path, int(meta.get("delta_seq", 0)), None
-            )
-            edge_pairs: set[tuple[int, int]] | None = None
-            for record in records:
-                for paper_row, decisions in zip(
-                    record.papers, record.assignments
-                ):
-                    n_papers += 1
-                    pid = int(paper_row["pid"])
-                    vids: list[int] = []
-                    for position, name in enumerate(paper_row["authors"]):
-                        vid = int(decisions[position][0])
-                        clusters.setdefault(name, {}).setdefault(
-                            vid, []
-                        ).append((pid, position))
-                        vids.append(vid)
-                    if len(set(vids)) > 1 and edge_pairs is None:
-                        # New collaboration edges need the base edge set
-                        # to count exactly; read it lazily, (u, v) keys
-                        # only, still row-streamed.
-                        edge_pairs = {
-                            (min(int(e["u"]), int(e["v"])),
-                             max(int(e["u"]), int(e["v"])))
-                            for e in table_rows("gcn_edges")
-                        }
-                    for i, u in enumerate(vids):
-                        for v in vids[i + 1:]:
-                            if u == v:
-                                continue
-                            pair = (min(u, v), max(u, v))
-                            assert edge_pairs is not None
-                            if pair not in edge_pairs:
-                                edge_pairs.add(pair)
-                                n_edges += 1
-        return cls(
-            {
-                name: {
-                    vid: tuple(sorted(units))
-                    for vid, units in vid_map.items()
-                }
-                for name, vid_map in clusters.items()
-            },
-            n_papers=n_papers,
-            n_edges=n_edges,
+        snapshot, _info = Snapshot.load_chain(path, backend=backend)
+        return cls._from_network(
+            snapshot.gcn,
+            n_papers=len(snapshot.corpus),
             generation=generation,
         )
 

@@ -284,6 +284,15 @@ class TestConfigValidation:
             IUADConfig(wl_iterations=-1)
         assert IUADConfig(wl_iterations=0).wl_iterations == 0
 
+    def test_merge_rounds(self):
+        """Stage 2 runs at least the paper's one pass: with none, the GCN
+        would be the Stage-1 SCN object and relation recovery would add
+        edges to the SCN."""
+        for rounds in (0, -1):
+            with pytest.raises(ValueError, match="merge_rounds"):
+                IUADConfig(merge_rounds=rounds)
+        assert IUADConfig(merge_rounds=1).merge_rounds == 1
+
     def test_families_width(self):
         with pytest.raises(ValueError):
             IUADConfig(families=("gaussian",))

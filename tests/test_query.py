@@ -1,12 +1,12 @@
-"""In-place snapshot queries (``repro.io.query``) and the lite view.
+"""In-place snapshot queries (``repro.io.query``).
 
 Pins the no-full-decode query path against the fully materialised
 reference: ``SnapshotQuery.who_is`` / ``owner_of`` — indexed SQL on a
 SQLite snapshot, filtered row scans on JSONL, pre-index SQLite files
 falling back to payload scans — must return exactly what a full
 :class:`~repro.service.FittedView` returns, delta-chain overlay
-included.  ``FittedView.from_snapshot(..., full_load=False)`` must be
-fingerprint-identical to the full load.
+included.  These are the two readers of a snapshot file; the CLI's
+``who-is`` with and without ``--no-full-load`` must agree.
 """
 
 from __future__ import annotations
@@ -151,22 +151,6 @@ def test_sqlite_pre_index_fallback(chained_snapshot, reference, tmp_path):
             ), name
         hit = reference.who_is("X Y", 0, 0)
         assert query.owner_of(0, 0) == (hit["vid"], "X Y")
-
-
-# --------------------------------------------------------------------- #
-# the lite FittedView
-# --------------------------------------------------------------------- #
-def test_lite_view_is_fingerprint_identical(chained_snapshot, reference):
-    backend, base = chained_snapshot
-    lite = FittedView.from_snapshot(base, backend=backend, full_load=False)
-    assert lite.fingerprint == reference.fingerprint
-    assert lite.n_papers == reference.n_papers
-    assert lite.n_edges == reference.n_edges
-    assert lite.n_mentions == reference.n_mentions
-    for name in ALL_NAMES:
-        assert normalised(lite.cluster_of(name)) == normalised(
-            reference.cluster_of(name)
-        ), name
 
 
 # --------------------------------------------------------------------- #

@@ -5,8 +5,10 @@ is an *execution strategy*, not a model change: on the paper's Algorithm 1
 (``merge_rounds == 1``) the sharded fit — serial or under a process pool —
 produces mention clusterings identical to the whole-corpus
 :meth:`IUAD.fit`, and identical across repeated runs regardless of pool
-scheduling.  These tests pin that contract on a synthetic duplicate-name
-corpus, plus the partition/stitch building blocks around it.
+scheduling; with whole blocks (``max_shard_size=0``) the same holds for
+two merge rounds.  These tests pin that contract on a synthetic
+duplicate-name corpus, plus the partition/stitch building blocks around
+it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import multiprocessing
 import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -104,16 +107,35 @@ class TestShardVsGlobalParity:
         assert mention_clusterings(sharded, small_corpus.names) == reference
 
     def test_gamma_chunk_size_does_not_change_decisions(
-        self, small_corpus, reference
+        self, small_corpus, reference, monkeypatch
     ):
-        # Chunk granularity is a scheduling knob, not a model knob: a
+        # Chunk granularity is a scheduling constant, not a model knob: a
         # tiny chunk budget (many Phase-A tasks, maximum pipelining
         # surface) must reproduce the same clusterings.
-        sharded = ShardedIUAD(
-            IUADConfig(n_workers=0, gamma_chunk_pairs=64)
-        ).fit(small_corpus)
+        monkeypatch.setattr(sharding, "GAMMA_CHUNK_PAIRS", 64)
+        sharded = ShardedIUAD(IUADConfig(n_workers=0)).fit(small_corpus)
         assert sharded.report_.n_gamma_chunks > 5
         assert mention_clusterings(sharded, small_corpus.names) == reference
+
+    def test_multi_round_whole_blocks_match_global_fit(self, small_corpus):
+        # With merge_rounds > 1, exactness needs whole blocks: a later
+        # round re-scores on profiles merged in the round before.  δ is
+        # lowered so that round two has merges to make (at the default
+        # δ this corpus merges nothing and the test would be vacuous).
+        config = IUADConfig(
+            merge_rounds=2, delta=20.0, later_delta=0.0, max_shard_size=0
+        )
+        single = IUAD(config).fit(small_corpus)
+        sharded = ShardedIUAD(replace(config, n_workers=0)).fit(small_corpus)
+        assert single.report_.per_round_merges[1] > 0
+        assert (
+            sharded.report_.per_round_merges
+            == single.report_.per_round_merges
+        )
+        names = small_corpus.names
+        assert mention_clusterings(sharded, names) == mention_clusterings(
+            single, names
+        )
 
 
 class TestShardReporting:
@@ -304,9 +326,8 @@ class TestSchedulerFailurePaths:
         )
         ctx_before = sharding._CTX
         segments_before = _shm_segments()
-        config = IUADConfig(
-            n_workers=2, gamma_chunk_pairs=64, mp_start_method="fork"
-        )
+        monkeypatch.setattr(sharding, "GAMMA_CHUNK_PAIRS", 64)
+        config = IUADConfig(n_workers=2, mp_start_method="fork")
         with pytest.raises(BrokenProcessPool):
             ShardedIUAD(config).fit(small_corpus)
         assert _shm_segments() - segments_before == set()
@@ -327,9 +348,8 @@ class TestSchedulerFailurePaths:
 
         monkeypatch.setattr(sharding, task_fn, fail_on_second_task)
         ctx_before = sharding._CTX
-        config = IUADConfig(
-            n_workers=0, gamma_chunk_pairs=64, max_shard_size=300
-        )
+        monkeypatch.setattr(sharding, "GAMMA_CHUNK_PAIRS", 64)
+        config = IUADConfig(n_workers=0, max_shard_size=300)
         with pytest.raises(RuntimeError) as excinfo:
             ShardedIUAD(config).fit(small_corpus)
         assert len(raised) == 1 and excinfo.value is raised[0]

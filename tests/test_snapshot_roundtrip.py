@@ -215,8 +215,10 @@ def test_config_roundtrip_tolerates_drift():
     config = IUADConfig(eta=3, merge_rounds=2, seed=7)
     payload = encode_config(config)
     assert decode_config(payload) == config
-    # unknown keys from a newer build are ignored; missing keys default
+    # unknown keys from a newer build, or retired ones an older build
+    # wrote, are ignored; missing keys default
     payload["knob_from_the_future"] = 42
+    payload["gamma_chunk_pairs"] = 64
     del payload["seed"]
     decoded = decode_config(payload)
     assert decoded.eta == 3 and decoded.seed == IUADConfig().seed

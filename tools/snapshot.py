@@ -34,7 +34,10 @@ Run from the repo root (or anywhere with ``repro`` importable)::
   ``--pid``) straight from the snapshot file.  ``--no-full-load``
   answers from the stored rows / indexed SQL tables plus the chain
   overlay (:mod:`repro.io.query`) without materialising any fitted
-  state — same answers, O(1)-ish on an indexed SQLite snapshot.
+  state — same answers, O(1)-ish on an indexed SQLite snapshot, but the
+  chain's base fingerprint is not checked.  Without the flag the base
+  and chain are decoded in full (:meth:`repro.io.Snapshot.load_chain`)
+  and the answer comes from a :class:`repro.service.FittedView`.
 """
 
 from __future__ import annotations
@@ -214,7 +217,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
 def cmd_who_is(args: argparse.Namespace) -> int:
     path = Path(args.path)
     try:
-        if args.no_full_load:
+        if args.in_place:
             with SnapshotQuery(path) as query:
                 if args.pid is not None:
                     owner = query.owner_of(args.pid, args.position)
@@ -313,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_who.add_argument("--position", type=int, default=0)
     p_who.add_argument(
-        "--no-full-load", action="store_true",
+        "--no-full-load", action="store_true", dest="in_place",
         help="answer from stored rows / indexed SQL + chain overlay "
         "without materialising fitted state",
     )
