@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -123,15 +124,14 @@ def papers_per_name_distribution(corpus: Corpus) -> dict[int, int]:
 def pair_frequency_distribution(corpus: Corpus) -> dict[int, int]:
     """Figure 3b histogram: co-pair frequency -> #name-pairs with that value.
 
-    Counts every unordered name pair over all co-author lists (support
-    threshold 1), which is the population Figure 3b summarises.
+    Counts every unordered pair of *distinct* names per co-author list
+    (support threshold 1) — the per-paper rule of
+    :func:`repro.graphs.scn.mine_scrs` — which is the population Figure 3b
+    summarises.
     """
     pair_counts: Counter[tuple[str, str]] = Counter()
-    for transaction in corpus.transactions():
-        ordered = sorted(transaction)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                pair_counts[(a, b)] += 1
+    for paper in corpus:
+        pair_counts.update(combinations(sorted(set(paper.authors)), 2))
     return frequency_histogram(pair_counts.values())
 
 

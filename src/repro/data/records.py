@@ -179,9 +179,8 @@ class Mention:
 class Corpus:
     """An indexed collection of :class:`Paper` records.
 
-    Builds the per-name inverted index, venue frequency table (``F_H`` in
-    Eq. 9) and co-author transaction view (input of FP-growth) once, at
-    construction time.
+    Builds the per-name inverted index and venue frequency table (``F_H``
+    in Eq. 9) once, at construction time; :meth:`add` keeps both current.
     """
 
     def __init__(self, papers: Iterable[Paper]):
@@ -249,11 +248,6 @@ class Corpus:
     def venue_frequencies(self) -> Mapping[str, int]:
         """The full venue frequency table."""
         return dict(self._venue_freq)
-
-    def transactions(self) -> Iterator[tuple[str, ...]]:
-        """Co-author lists as transactions for frequent-itemset mining."""
-        for paper in self:
-            yield paper.authors
 
     def mentions(self) -> Iterator[Mention]:
         """All author mentions in the corpus, per occurrence."""

@@ -4,8 +4,8 @@ The SCN preserves only η-stable collaborative relations (η-SCRs: name pairs
 co-occurring in at least η co-author lists) and the stable triangles they
 form.  Construction follows the insertion algorithm of Figure 4:
 
-1. η-SCRs are mined with FP-growth and inserted one by one (most frequent
-   first, for determinism).
+1. η-SCRs are mined in one pass over the co-author lists (:func:`mine_scrs`)
+   and inserted one by one (most frequent first, for determinism).
 2. When inserting SCR ``(a, b)``, an existing vertex named ``a`` absorbs the
    new relation only if a *stable triangle certifies it*: some neighbour of
    that vertex has a name ``c`` with ``(c, b)`` also an η-SCR.  Otherwise a
@@ -37,9 +37,9 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 
 from ..data.records import Corpus
-from ..fpm.fpgrowth import frequent_pairs
 from .collab import CollaborationNetwork
 
 NamePair = tuple[str, str]
@@ -91,18 +91,20 @@ def mine_scrs(corpus: Corpus, eta: int) -> dict[NamePair, set[int]]:
     """All η-SCRs with their supporting paper sets ``P_ab``.
 
     An η-SCR is a name pair co-occurring in at least η co-author lists
-    (Definition 2).  The support set carries the actual paper ids because
-    SCN edges are paper-annotated (Definition 1).
+    (Definition 2), i.e. a frequent 2-itemset over the lists — the pair-only
+    special case of frequent-itemset mining (Han, Pei & Yin, 2000), which
+    needs no FP-tree.  One pass appends each paper's id to every pair of its
+    distinct names, in natural order (``a < b``, as :func:`_ordered`); the
+    support set carries the actual paper ids because SCN edges are
+    paper-annotated (Definition 1).
     """
-    pairs = frequent_pairs(corpus.transactions(), eta)
-    supports: dict[NamePair, set[int]] = {pair: set() for pair in pairs}
+    supports: defaultdict[NamePair, list[int]] = defaultdict(list)
     for paper in corpus:
-        ordered = sorted(set(paper.authors))
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                if (a, b) in supports:
-                    supports[(a, b)].add(paper.pid)
-    return supports
+        for pair in combinations(sorted(set(paper.authors)), 2):
+            supports[pair].append(paper.pid)
+    return {
+        pair: set(pids) for pair, pids in supports.items() if len(pids) >= eta
+    }
 
 
 class SCNBuilder:

@@ -7,6 +7,7 @@ from repro.data import (
     fit_power_law,
     frequency_histogram,
     load_dblp_xml,
+    pair_frequency_distribution,
     render_table2,
     split_for_incremental,
 )
@@ -34,6 +35,17 @@ class TestPowerLaw:
         histogram = {k: max(1, round(5000 * k**-2.5)) for k in range(1, 60)}
         fit = fit_power_law(histogram, log_binned=True)
         assert fit.slope == pytest.approx(-2.5, abs=0.5)
+
+    def test_pair_frequency_counts_distinct_coauthor_pairs(self):
+        """Figure 3b counts a pair once per paper and never pairs a name
+        with itself, even when a list repeats it (homonymous co-authors)."""
+        corpus = Corpus(
+            Paper(pid, authors, "t", "V", 2000)
+            for pid, authors in enumerate([("A", "A", "B"), ("B", "C", "A")])
+        )
+        assert pair_frequency_distribution(corpus) == {1: 2, 2: 1}
+        single = Corpus([Paper(0, ("A", "A", "B"), "t", "V", 2000)])
+        assert pair_frequency_distribution(single) == {1: 1}
 
     def test_fit_needs_two_points(self):
         with pytest.raises(ValueError):

@@ -32,12 +32,14 @@ def test_reference_check_catches_missing_files(tmp_path, monkeypatch):
     otherwise the gate silently stops gating."""
     doc = tmp_path / "drifted.md"
     doc.write_text(
-        "See `BENCH_gone.json` and [link](nowhere.md).\n", encoding="utf-8"
+        "See `BENCH_gone.json`, `repro.gone` and [link](nowhere.md).\n",
+        encoding="utf-8",
     )
     monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
     monkeypatch.setattr(check_docs, "iter_markdown_files", lambda: [doc])
     ref_errors = check_docs.check_file_references()
-    assert len(ref_errors) == 1 and "BENCH_gone.json" in ref_errors[0]
+    assert len(ref_errors) == 2
+    assert "BENCH_gone.json" in ref_errors[0] and "repro.gone" in ref_errors[1]
     link_errors = check_docs.check_markdown_links()
     assert len(link_errors) == 1 and "nowhere.md" in link_errors[0]
 

@@ -120,9 +120,8 @@ class TestCorpus:
         assert 4 not in corpus
         assert corpus[3].pid == 3
 
-    def test_transactions_and_mentions(self):
+    def test_mentions(self):
         corpus = Corpus([make_paper(0)])
-        assert list(corpus.transactions()) == [("A", "B")]
         assert list(corpus.mentions()) == [Mention(0, "A", 0), Mention(0, "B", 1)]
 
     def test_subset_fraction(self, small_corpus):

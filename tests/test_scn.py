@@ -1,6 +1,10 @@
 """Tests for Stage 1 — SCN construction (the Figure 2/4 running example)."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.records import Corpus, Paper
 from repro.graphs.scn import (
@@ -30,12 +34,87 @@ class TestIndependenceTail:
             independence_tail_probability(1, 5, 0, 2)
 
 
+def corpus_of(rows) -> Corpus:
+    return Corpus(
+        Paper(pid=pid, authors=tuple(authors), title="t", venue="V", year=2000)
+        for pid, authors in enumerate(rows, start=1)
+    )
+
+
+def brute_force_scrs(corpus: Corpus, eta: int) -> dict[tuple[str, str], set[int]]:
+    """Oracle: for every pair of distinct corpus names, the papers listing both."""
+    out = {}
+    for a, b in combinations(sorted(corpus.names), 2):
+        support = {p.pid for p in corpus if a in p.authors and b in p.authors}
+        if len(support) >= eta:
+            out[(a, b)] = support
+    return out
+
+
+#: Names built from quote, backslash and space characters as well as
+#: letters: their ``repr`` order differs from their natural order.
+quoted_names = st.text(alphabet="ab'\"\\ ", min_size=1, max_size=3)
+
+
+@st.composite
+def quoted_corpora(draw) -> Corpus:
+    pool = draw(st.lists(quoted_names, min_size=2, max_size=6, unique=True))
+    rows = draw(
+        st.lists(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=5),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    return corpus_of(rows)
+
+
 class TestMineSCRs:
     def test_supports_carry_paper_ids(self, figure2_corpus):
         scrs = mine_scrs(figure2_corpus, 2)
         assert scrs[("a", "c")] == {0, 1, 2, 3}
         assert scrs[("b", "e")] == {4, 5}
         assert ("b", "f") not in scrs
+
+    def test_pairs_match_figure2(self, figure2_corpus):
+        """Figure 2's frequent 2-itemsets, verbatim, as support sizes."""
+        scrs = mine_scrs(figure2_corpus, 2)
+        assert {pair: len(pids) for pair, pids in scrs.items()} == {
+            ("a", "b"): 3,
+            ("a", "c"): 4,
+            ("a", "d"): 2,
+            ("b", "c"): 3,
+            ("b", "e"): 2,
+            ("c", "d"): 2,
+        }
+
+    def test_duplicates_in_paper_counted_once(self):
+        assert mine_scrs(corpus_of([("a", "b", "a")]), 1) == {("a", "b"): {1}}
+
+    def test_support_threshold(self, figure2_corpus):
+        assert mine_scrs(figure2_corpus, 5) == {}
+        assert set(mine_scrs(figure2_corpus, 4)) == {("a", "c")}
+
+    def test_quoted_names_keep_their_supports(self):
+        """``repr("O'Brien")`` starts with a double quote, so ordering pairs
+        by ``repr`` disagrees with the natural order every SCN lookup uses."""
+        corpus = corpus_of([("Adams", "O'Brien", "Chen")] * 3)
+        assert mine_scrs(corpus, 2) == {
+            ("Adams", "Chen"): {1, 2, 3},
+            ("Adams", "O'Brien"): {1, 2, 3},
+            ("Chen", "O'Brien"): {1, 2, 3},
+        }
+        net, report = build_scn(corpus)
+        assert report.n_vertices == 3 and report.n_isolated == 0
+        assert all(vertex.papers == {1, 2, 3} for vertex in net)
+
+    @given(corpus=quoted_corpora(), eta=st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force_count(self, corpus, eta):
+        assert mine_scrs(corpus, eta) == brute_force_scrs(corpus, eta)
+        net, report = build_scn(corpus, eta=eta)
+        assert all(vertex.mentions for vertex in net)
+        assert report.n_mentions == corpus.num_author_paper_pairs
 
 
 class TestFigure2Construction:

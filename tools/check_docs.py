@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Docs checks: intra-repo markdown links, file references + doctests.
+"""Docs checks: intra-repo markdown links, file/module references + doctests.
 
 Run from anywhere:  python tools/check_docs.py
 
@@ -16,7 +16,10 @@ same code in the tier-1 suite):
    exactly that before PR 5).  Quick-mode bench records
    (``*.quick.json``) are exempt — they are *documented* as untracked
    local smoke outputs — as are the names in
-   :data:`KNOWN_FUTURE_ARTIFACTS`;
+   :data:`KNOWN_FUTURE_ARTIFACTS`.  Likewise every span that names a
+   ``repro`` module or attribute (``repro.graphs.scn.mine_scrs``) must
+   resolve: its longest importable module prefix, then ``getattr`` on the
+   rest;
 3. the doctest examples listed in :data:`DOCTEST_FILES` must pass — most
    importantly the homonym-paper example in ``examples/quickstart.py``.
 """
@@ -24,11 +27,13 @@ same code in the tier-1 suite):
 from __future__ import annotations
 
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 #: Directories never scanned for markdown (VCS, tool caches, and local
 #: environments whose vendored READMEs the repo does not own).
@@ -80,6 +85,9 @@ _FILE_REF = re.compile(
     r"^[A-Za-z0-9_.][A-Za-z0-9_.\-/]*\.(?:py|md|json|ya?ml|toml|cfg|ini|txt)$"
 )
 
+#: A span that names a ``repro`` module or attribute by dotted path.
+_MODULE_REF = re.compile(r"^repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+$")
+
 #: Quick-mode bench records are documented as machine-local smoke
 #: artifacts; whether a given one is committed is each bench's call, so
 #: their references are always legal.
@@ -93,6 +101,8 @@ KNOWN_FUTURE_ARTIFACTS = {
     # machines; the README documents it as the upgrade path over the
     # committed BENCH_sharding.quick.json record.
     "BENCH_sharding.json",
+    # The ROADMAP proposes this module as the one home of the test oracles.
+    "repro.testing.oracle",
 }
 
 
@@ -133,13 +143,33 @@ def iter_repo_files() -> list[Path]:
     return out
 
 
+def _module_ref_resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, then ``getattr``
+    the remaining names."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        try:
+            for name in parts[split:]:
+                obj = getattr(obj, name)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
 def check_file_references() -> list[str]:
-    """Return one error per inline-code reference to a nonexistent file.
+    """Return one error per inline-code reference to a nonexistent file
+    or ``repro`` module attribute.
 
     Spans containing a ``/`` resolve against the repo root and the
     markdown file's own directory; bare filenames resolve by basename
-    anywhere in the tree.  See :data:`KNOWN_FUTURE_ARTIFACTS` and
-    ``*.quick.json`` for the two deliberate exemptions.
+    anywhere in the tree; dotted ``repro.…`` spans resolve by import.
+    See :data:`KNOWN_FUTURE_ARTIFACTS` and ``*.quick.json`` for the two
+    deliberate exemptions.
     """
     basenames = {p.name for p in iter_repo_files()}
     errors: list[str] = []
@@ -149,9 +179,17 @@ def check_file_references() -> list[str]:
         text = md.read_text(encoding="utf-8")
         for match in _CODE_SPAN.finditer(text):
             target = match.group(1)
-            if not _FILE_REF.match(target):
+            if target in KNOWN_FUTURE_ARTIFACTS:
                 continue
-            if _UNTRACKED_OK.search(target) or target in KNOWN_FUTURE_ARTIFACTS:
+            if _MODULE_REF.match(target):
+                if not _module_ref_resolves(target):
+                    rel = md.relative_to(REPO_ROOT)
+                    errors.append(
+                        f"{rel}: reference to nonexistent module attribute "
+                        f"-> {target}"
+                    )
+                continue
+            if not _FILE_REF.match(target) or _UNTRACKED_OK.search(target):
                 continue
             if "/" in target:
                 exists = (REPO_ROOT / target).exists() or (
@@ -169,7 +207,6 @@ def check_file_references() -> list[str]:
 
 def run_doctests() -> list[str]:
     """Return one error string per failing doctest file."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
     errors: list[str] = []
     for rel in DOCTEST_FILES:
         path = REPO_ROOT / rel
