@@ -8,8 +8,7 @@ comparable across PRs.
 
 ``BENCH_QUICK=1`` switches to the CI smoke mode: a much smaller corpus and
 a relaxed speedup floor (small pair lists under-amortise the engine's fixed
-assembly cost, which is exactly why ``pair_matrix`` dispatches them to the
-scalar path in production).
+assembly cost).
 """
 
 from __future__ import annotations
@@ -74,12 +73,14 @@ def test_batched_pair_matrix_speedup(benchmark):
         pairs.extend(candidate_pairs_of_name(net, name))
     assert pairs, "bench corpus produced no candidate pairs"
 
-    # Warm the scalar path's per-vertex profiles first so the comparison
-    # isolates pair scoring (the batched path builds its own columns).
+    # Build the scalar oracle's per-vertex profiles first and pass them
+    # in, so the comparison isolates pair scoring (the batched path
+    # builds its own columns).
     with timer.stage("profile_warm"):
-        for u, v in pairs:
-            computer.profile(u)
-            computer.profile(v)
+        profiles = {
+            vid: computer.profile(vid)
+            for vid in sorted({vid for pair in pairs for vid in pair})
+        }
 
     def best_of(fn, repeats=3):
         result, best = None, float("inf")
@@ -95,7 +96,7 @@ def test_batched_pair_matrix_speedup(benchmark):
     with timer.stage("batched_cold"):
         batched = computer.pair_matrix_batched(pairs)
     reference, perpair_seconds = best_of(
-        lambda: computer.pair_matrix_perpair(pairs)
+        lambda: computer.pair_matrix_perpair(pairs, profiles)
     )
     timer.record("perpair", perpair_seconds)
     batched_warm, batched_seconds = best_of(

@@ -23,7 +23,7 @@ Stage 2 performance: each merge round gathers *all* names' candidate pairs
 and scores them in one call to the batched similarity engine
 (:mod:`repro.similarity.batch`), and a single
 :class:`~repro.similarity.profile.SimilarityComputer` serves every round —
-merged networks preserve vertex ids, so only the profiles a merge actually
+merged networks preserve vertex ids, so only the columns a merge actually
 stained are invalidated (``SimilarityComputer.rebind``) rather than the
 whole store being rebuilt per round.
 """
@@ -96,7 +96,7 @@ def run_merge_rounds(
     ``names`` are scored with the Eq. 11 matching score, pairs clearing
     the round's δ are merged transitively under the cannot-link
     constraints, and the network is re-materialised between rounds with
-    preserved vertex ids so ``computer``'s profile caches survive.
+    preserved vertex ids so ``computer``'s column cache survives.
 
     Args:
         network: The network to consolidate (an SCN, or a shard of one).
@@ -332,7 +332,7 @@ class IUAD:
         # One SimilarityComputer serves every merge round: the merged
         # network is built with preserve_ids=True, so only vertices whose
         # neighbourhood a merge (or a recovered relation) actually changed
-        # lose their cached profiles (see SimilarityComputer.rebind).
+        # lose their cached columns (see SimilarityComputer.rebind).
         outcome = run_merge_rounds(scn, decision_names, model, computer, cfg)
         gcn = outcome.network
         touched = self._recover_relations(gcn, corpus)

@@ -54,12 +54,13 @@ simply follow one another):
    the live model and plain arrays; nothing else changes.)  Tasks carry
    only name lists, vid tuples and ``(offset, count)`` row spans; the
    worker re-reads its γ rows from shared memory, scores them against
-   the cached model, cuts its block (plus a profile halo of radius
-   ``max(1, wl_iterations)``, needed only when ``merge_rounds > 1``
-   re-scores) out of its process-local SCN, runs the shared
-   :func:`~repro.core.iuad.run_merge_rounds` decision loop, merges its
-   components under the cannot-link constraints, drops the halo and
-   ships back its fitted block network.
+   the cached model, cuts its block out of its process-local SCN, runs
+   the shared :func:`~repro.core.iuad.run_merge_rounds` decision loop,
+   merges its components under the cannot-link constraints and ships
+   back its fitted block network.  Only when ``merge_rounds > 1`` do
+   later rounds re-score on that sub-network, so only then does the cut
+   also keep a profile halo of radius ``max(1, wl_iterations)`` around
+   the block, dropped again before shipping.
 6. **Merge** (serial, deterministic): per-shard networks and the
    fast-path vertices are stitched by
    :func:`repro.graphs.collab.combine_networks` — stable remapped vertex
@@ -81,9 +82,9 @@ Exactness: with ``merge_rounds == 1`` (the paper's Algorithm 1) the
 sharded fit produces mention clusterings *identical* to the whole-corpus
 fit — names cannot influence each other within a round, and profiles are
 computed on the full network (``tests/test_sharding_parity.py`` pins
-this, in-process and under a process pool; profile construction iterates
+this, in-process and under a process pool; column construction iterates
 papers in canonical order so results survive the pickling of networks,
-see ``SimilarityComputer._build_profile``).  With more rounds, exactness
+see ``SimilarityComputer._paper_slots``).  With more rounds, exactness
 additionally requires blocks to stay whole (``max_shard_size = 0``):
 splitting a block can miss cross-shard profile updates between rounds.
 
@@ -151,8 +152,8 @@ class Shard:
     ``names`` are the shard's pair-bearing names in global ``scn.names``
     order; ``owned_vids`` are *all* their vertices (a name is never split
     across shards); ``halo_vids`` are the extra profile-context vertices
-    within radius of the owned set; ``pids`` are the papers of the owned
-    vertices.
+    within radius of the owned set (none for a one-round fit); ``pids``
+    are the papers of the owned vertices.
     """
 
     index: int
@@ -278,8 +279,10 @@ def plan_shards(
 
     ``halo_radius`` controls the profile context around a block that the
     Phase-B sub-network keeps: every vertex within that many hops of an
-    owned vertex (pass ``max(1, config.wl_iterations)``).  Only re-scoring
-    rounds (``merge_rounds > 1``) read profiles off that sub-network.
+    owned vertex.  Only re-scoring rounds (``merge_rounds > 1``) read
+    profiles off that sub-network, so :meth:`ShardedIUAD.fit` passes
+    ``max(1, config.wl_iterations)`` for them and ``0`` (no halo)
+    otherwise.
     """
     t0 = time.perf_counter()
     # Name components over shared papers.
@@ -362,7 +365,7 @@ def plan_shards(
         owned_anywhere.update(owned_set)
         halo: set[int] = set()
         frontier = list(owned_set)
-        for _ in range(max(1, halo_radius)):
+        for _ in range(halo_radius):
             next_frontier: list[int] = []
             for vid in frontier:
                 for nbr in scn.neighbors(vid):
@@ -932,7 +935,10 @@ class ShardedIUAD(IUAD):
             scn,
             corpus,
             max_shard_size=cfg.max_shard_size,
-            halo_radius=max(1, cfg.wl_iterations),
+            # Only later rounds re-score on a shard's sub-network.
+            halo_radius=(
+                max(1, cfg.wl_iterations) if cfg.merge_rounds > 1 else 0
+            ),
         )
         decision_names = list(corpus.names if names is None else names)
         decision_set = set(decision_names)

@@ -49,8 +49,8 @@ edges), the same assignments (scores to ≤1e-9) and the same report
 counters as the paper-faithful per-mention loop
 :func:`repro.core.incremental.sequential_add_paper`, the test oracle —
 including same-paper homonyms, shard-bridging papers and duplicates
-(``tests/test_streaming_parity.py``).  Every cached profile left behind
-equals a fresh build (``tests/test_incremental.py``): the oracle's wider
+(``tests/test_streaming_parity.py``).  Every cached column set left
+behind equals a fresh build (``tests/test_incremental.py``): the oracle's wider
 radius-``h`` drop would only rebuild the same values.
 """
 
@@ -176,8 +176,8 @@ def _value_stain(
 
     Computed on the live network (the clique edges are already in), so
     chains through this batch's earlier insertions are included.  Every
-    vertex outside this set keeps a bit-identical profile, which is why
-    the walk may keep both its cached profile and its snapshot scores.
+    vertex outside this set keeps bit-identical columns, which is why
+    the walk may keep both its cached columns and its snapshot scores.
     """
     vids = sorted(set(assigned))
     stain = multi_source_ball(gcn, vids, radius - 1)
@@ -570,10 +570,10 @@ class StreamingIngestor:
                 bounds.append((key, start, len(pairs)))
                 snapshot[key] = (candidates, _EMPTY)
         if pairs:
-            # Probes are NOT marked transient here on purpose: the walk's
+            # The probes' columns stay cached on purpose: the walk's
             # inline patching re-scores stale pairs against these same
-            # probes, so their cached profiles are read again; the
-            # ordinary attach/create paths clean them up afterwards.
+            # probes; the ordinary attach/create paths clean them up
+            # afterwards.
             scores = match_scores(model, computer.pair_matrix(pairs))
             for key, start, end in bounds:
                 snapshot[key] = (snapshot[key][0], scores[start:end])
@@ -820,8 +820,8 @@ class StreamingIngestor:
             gcn.remove_isolated_vertex(probe)
             computer.invalidate(probe)
             # Attaching the paper changed target's own keyword/venue
-            # profile but no adjacency: fold the paper into the cached
-            # profile in place (WL features and triangles stay valid).
+            # columns but no adjacency: fold the paper into the cached
+            # columns in place (WL features and triangles stay valid).
             # The structural ball is invalidated later, when the
             # recovered edges go in.
             computer.attach_paper(target, pid)

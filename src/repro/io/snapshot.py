@@ -87,7 +87,6 @@ class Snapshot:
     venue_frequencies: dict[str, int]
     scn: CollaborationNetwork | None = None
     embeddings: WordEmbeddings | None = None
-    frequent_keywords: tuple[str, ...] = ()
     sharding: ShardingState | None = None
     stream: IncrementalReport | None = None
     version: int = schema.SCHEMA_VERSION
@@ -130,7 +129,6 @@ class Snapshot:
             embeddings=estimator.embeddings_,
             word_frequencies=dict(computer.word_frequencies),
             venue_frequencies=dict(computer.venue_frequencies),
-            frequent_keywords=tuple(sorted(computer.frequent_keywords)),
             sharding=sharding,
             stream=stream,
         )
@@ -166,7 +164,6 @@ class Snapshot:
             word_frequencies=self.word_frequencies,
             wl_iterations=self.config.wl_iterations,
             decay_alpha=self.config.decay_alpha,
-            frequent_keywords=frozenset(self.frequent_keywords),
             venue_frequencies=self.venue_frequencies,
         )
         if self.sharding is not None:
@@ -191,7 +188,6 @@ class Snapshot:
             "computer": {
                 "word_frequencies": dict(self.word_frequencies),
                 "venue_frequencies": dict(self.venue_frequencies),
-                "frequent_keywords": list(self.frequent_keywords),
             },
             "gcn_meta": gcn_meta,
         }
@@ -229,6 +225,13 @@ class Snapshot:
         tables = document["tables"]
         sections = document["sections"]
         computer = sections["computer"]
+        if computer.get("frequent_keywords"):
+            # Snapshots once carried an (always empty) keyword blocklist;
+            # a non-empty one changes γ, which this version cannot honour.
+            raise ValueError(
+                "snapshot document: unsupported non-empty "
+                "computer.frequent_keywords"
+            )
         scn = None
         if "scn_meta" in sections:
             scn = schema.decode_network(
@@ -259,7 +262,6 @@ class Snapshot:
             venue_frequencies={
                 k: int(v) for k, v in computer["venue_frequencies"].items()
             },
-            frequent_keywords=tuple(computer.get("frequent_keywords", ())),
             sharding=sharding,
             stream=stream,
             version=version,

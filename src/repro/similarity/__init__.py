@@ -1,5 +1,5 @@
-"""The six similarity functions of Stage 2, the profile cache, and the
-batched engine that evaluates all of them over whole pair lists."""
+"""The six similarity functions of Stage 2, their scalar test oracle, and
+the batched engine that evaluates all of them over whole pair lists."""
 
 from .batch import BatchSimilarityEngine, FeatureInterner, VertexArrays
 from .community import (

@@ -50,15 +50,16 @@ sorted neighbour labels), and a triangle's key is its pair of name
 labels, so the column ids are exact, never fixed-width hashes.
 
 Cache semantics: the engine caches one :class:`VertexArrays` per vertex
-id, built from the owner's network by the columnar pass above — never
-copied from a :class:`~.profile.VertexProfile`, which only the scalar
-path builds.  The owner (:class:`~.profile.SimilarityComputer`) drops a
-vertex's columns together with its profile — see its
-``invalidate``/``rebind`` docs for the hop-radius contract — and refreshes
-the paper-derived columns in place when a paper is attached.  Interned
-column ids are grow-only and keywords/venues are interned in first-seen
-(vertex id, paper id, title) order, so cached per-vertex column arrays
-stay valid as the vocabulary expands (new papers, new venues).
+id, built from the owner's network by the columnar pass above — the
+owner's only per-vertex cache (the scalar oracle builds its
+:class:`~.profile.VertexProfile` objects per call and keeps none).  The
+owner (:class:`~.profile.SimilarityComputer`) drops a vertex's columns —
+see its ``invalidate``/``rebind`` docs for the hop-radius contract — and
+refreshes the paper-derived columns in place when a paper is attached.
+Interned column ids are grow-only and keywords/venues are interned in
+first-seen (vertex id, paper id, title) order, so cached per-vertex
+column arrays stay valid as the vocabulary expands (new papers, new
+venues).
 
 Numerical contract: every γ matches the scalar path of :mod:`.profile` to
 well below 1e-9 (the only differences are floating-point summation order);
@@ -285,9 +286,7 @@ class BatchSimilarityEngine:
         #: WL label -> column id, extended in place by
         #: :func:`repro.graphs.ego.ego_features` (names as ``str``, refined
         #: labels as exact ``bytes`` of own label + sorted neighbour
-        #: labels) and by the scalar oracle's
-        #: :func:`repro.graphs.wl.wl_feature_map` (tuple keys); the key
-        #: types never collide, and each path compares only its own ids.
+        #: labels).
         self.wl_labels: dict[Hashable, int] = {}
         #: ``(name label, name label)`` triangle key -> column id, extended
         #: in place by :func:`repro.graphs.ego.ego_features`.
@@ -633,7 +632,6 @@ class BatchSimilarityEngine:
         pairs: Sequence[Pair],
         build_missing: Callable[[list[int]], list[VertexArrays]],
         alpha: float,
-        transient: frozenset[int] = frozenset(),
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """``(n_pairs, 6)`` γ matrix, numerically matching the scalar path.
@@ -644,15 +642,6 @@ class BatchSimilarityEngine:
                 vertices (ascending vid) in one pass — normally the owning
                 computer's columnar builder around :meth:`build`.
             alpha: Decay α of the time-consistency similarity (Eq. 7).
-            transient: Vertex ids scored *once and discarded*: their
-                columnar arrays are built for this call but never enter
-                the per-vertex cache, and their centroid slots are
-                released on return — the probe-vs-existing scoring mode
-                for callers that score throwaway vertices and will not
-                read them again (a caller that *will* re-read its probes,
-                like the streaming walk's inline patching, should leave
-                them cacheable instead).  A transient vid that happens to
-                be cached already is served from (and left in) the cache.
             out: Optional preallocated ``(n_pairs, 6)`` float64 buffer
                 the γ columns are written into (e.g. a shared-memory
                 view of the sharded executor, whose workers then ship no
@@ -672,15 +661,11 @@ class BatchSimilarityEngine:
         cached = self._arrays.get
         rows: list[VertexArrays | None] = [cached(vid) for vid in vids.tolist()]
         missing = [i for i, arrays in enumerate(rows) if arrays is None]
-        borrowed: list[VertexArrays] = []
         if missing:
             built = build_missing([int(vids[i]) for i in missing])
             for i, arrays in zip(missing, built):
                 rows[i] = arrays
-                if arrays.vid in transient:
-                    borrowed.append(arrays)
-                else:
-                    self._arrays[arrays.vid] = arrays
+                self._arrays[arrays.vid] = arrays
         us = np.searchsorted(vids, pairs_arr[:, 0])
         vs = np.searchsorted(vids, pairs_arr[:, 1])
 
@@ -757,10 +742,6 @@ class BatchSimilarityEngine:
         # γ6 — min-count overlap on the shared venues, Adamic/Adar weighted
         overlap = np.minimum(count_u, count_v) * self._ven_weights()[col]
         out[:, 5] = pair_sums(pair, overlap) / tau
-        # Release transient centroid slots only now — γ3 read them above.
-        for arrays in borrowed:
-            if arrays.cent_slot >= 0:
-                self._cent_free.append(arrays.cent_slot)
         return out
 
     def _gamma3(

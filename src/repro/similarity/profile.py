@@ -32,17 +32,20 @@ Scoring has one path and one test oracle:
 * :meth:`SimilarityComputer.similarity_vector` (and
   :meth:`SimilarityComputer.pair_matrix_perpair` over a list) — the scalar
   reference, one pair at a time through the per-function modules above,
-  reading a cached :class:`VertexProfile` per vertex (keywords, venues,
-  years, triangles, WL features).  Only tests and benchmarks call it, as
-  the oracle the join kernel is checked against.
+  reading one :class:`VertexProfile` per vertex (keywords, venues, years,
+  triangles, WL features).  Profiles are built per call and never cached,
+  so the oracle reads nothing the kernel wrote and leaves nothing behind.
+  Only tests and benchmarks call it, as the oracle the join kernel is
+  checked against.
 
-Cache invalidation: profiles and columns depend on the vertex's own
-papers *and* on its radius-``wl_iterations`` neighbourhood (WL features
-span that ball; triangles span 1 hop).  :meth:`SimilarityComputer.invalidate`
-therefore drops both caches over the whole BFS ball around a touched
-vertex, and :meth:`SimilarityComputer.rebind` retargets the computer at a
-merged network while keeping every profile and column entry not reachable
-from a touched vertex.
+Cache invalidation: the engine's columns are the computer's one
+per-vertex cache.  They depend on the vertex's own papers *and* on its
+radius-``wl_iterations`` neighbourhood (WL features span that ball;
+triangles span 1 hop).  :meth:`SimilarityComputer.invalidate` therefore
+drops the columns of the whole BFS ball around a touched vertex, and
+:meth:`SimilarityComputer.rebind` retargets the computer at a merged
+network while keeping every column entry not reachable from a touched
+vertex.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from ..data.records import Corpus
 from ..graphs.collab import CollaborationNetwork
 from ..graphs.ego import ego_features
 from ..graphs.triangles import coauthor_triangle_names
-from ..graphs.wl import multi_source_ball, wl_feature_map
+from ..graphs.wl import multi_source_ball, normalized_wl_kernel, wl_feature_map
 from ..text.embeddings import WordEmbeddings, cosine
 from ..text.tokenize import corpus_word_frequencies, extract_keywords
 from .batch import BatchSimilarityEngine, VertexArrays
@@ -80,7 +83,7 @@ SIMILARITY_NAMES = (
 
 @dataclass(slots=True)
 class VertexProfile:
-    """Cached per-vertex state feeding the six similarity functions."""
+    """Per-vertex state feeding the six scalar similarity functions."""
 
     vid: int
     name: str
@@ -105,7 +108,6 @@ class SimilarityComputer:
         word_frequencies: Mapping[str, int] | None = None,
         wl_iterations: int = 2,
         decay_alpha: float = 0.62,
-        frequent_keywords: frozenset[str] = frozenset(),
         venue_frequencies: Mapping[str, int] | None = None,
     ):
         """
@@ -118,7 +120,6 @@ class SimilarityComputer:
                 titles when omitted.
             wl_iterations: ``h`` of the WL kernel (Eq. 3).
             decay_alpha: α of Eq. 7 (0.62 in the paper, from FutureRank).
-            frequent_keywords: Words excluded from keyword profiles.
             venue_frequencies: ``F_H`` of Eq. 9; taken from ``corpus`` when
                 omitted.  Shard workers pass the *whole-corpus* tables here
                 (and in ``word_frequencies``) while scoring against a
@@ -129,7 +130,6 @@ class SimilarityComputer:
         self.embeddings = embeddings
         self.wl_iterations = wl_iterations
         self.decay_alpha = decay_alpha
-        self.frequent_keywords = frequent_keywords
         if word_frequencies is None:
             word_frequencies = corpus_word_frequencies(
                 p.title for p in corpus
@@ -138,40 +138,56 @@ class SimilarityComputer:
         if venue_frequencies is None:
             venue_frequencies = corpus.venue_frequencies
         self.venue_frequencies = venue_frequencies
-        self._profiles: dict[int, VertexProfile] = {}
-        # Papers are immutable, so their extracted keywords are memoised
-        # across vertices (co-authors share papers) and across profile
-        # rebuilds after invalidation — tokenising titles repeatedly was
-        # a measurable slice of profile construction on hot paths.
-        self._paper_keywords: dict[int, tuple[str, ...]] = {}
         self._engine = BatchSimilarityEngine(
             self.word_frequencies, self.venue_frequencies, embeddings
         )
 
     # ------------------------------------------------------------------ #
     def profile(self, vid: int) -> VertexProfile:
-        """The (cached) profile of vertex ``vid``."""
-        cached = self._profiles.get(vid)
-        if cached is not None:
-            return cached
-        profile = self._build_profile(vid)
-        self._profiles[vid] = profile
-        return profile
+        """A freshly built, uncached profile of vertex ``vid``.
+
+        Papers are walked in ascending paper id: the insertion order of
+        the counters decides float accumulation order downstream (γ3
+        centroids, γ4/γ6 weighted sums), and set iteration order does
+        not survive a pickle round trip.  WL labels stay structured
+        (no interner), so any two profiles are comparable and building
+        one touches no engine state.
+        """
+        vertex = self.net.vertex(vid)
+        keywords: Counter[str] = Counter()
+        keyword_years: dict[str, tuple[int, int]] = {}
+        venues: Counter[str] = Counter()
+        for pid in sorted(vertex.papers):
+            paper = self.corpus[pid]
+            venues[paper.venue] += 1
+            for word in extract_keywords(paper.title):
+                keywords[word] += 1
+                lo, hi = keyword_years.get(word, (paper.year, paper.year))
+                keyword_years[word] = (min(lo, paper.year), max(hi, paper.year))
+        return VertexProfile(
+            vid=vid,
+            name=vertex.name,
+            n_papers=len(vertex.papers),
+            keywords=keywords,
+            keyword_years=keyword_years,
+            centroid=(
+                self.embeddings.centroid(keywords) if self.embeddings else None
+            ),
+            venues=venues,
+            top_venue=venues.most_common(1)[0][0] if venues else None,
+            triangles=frozenset(coauthor_triangle_names(self.net, vid)),
+            wl_features=wl_feature_map(self.net, vid, self.wl_iterations),
+        )
 
     def is_cached(self, vid: int) -> bool:
-        """Whether ``vid`` has a cached profile or cached columns (for
-        tests/tools); the batched path caches only columns."""
-        return vid in self._profiles or vid in self._engine
-
-    def _drop(self, vid: int) -> None:
-        self._profiles.pop(vid, None)
-        self._engine.invalidate(vid)
+        """Whether ``vid``'s columns are cached (for tests/tools)."""
+        return vid in self._engine
 
     def invalidate(self, vid: int) -> None:
-        """Drop every cached profile ``vid``'s change can have stained.
+        """Drop every cached column set ``vid``'s change can have stained.
 
         Incremental mode mutates GCN vertices when a new paper is attached;
-        the stale profile must not survive.  WL features reach
+        the stale columns must not survive.  WL features reach
         ``wl_iterations`` hops (Eq. 3's radius-``h`` ball), and triangle
         sets reach one hop, so every vertex within
         ``max(1, wl_iterations)`` hops of ``vid`` is dropped as well — a
@@ -192,14 +208,14 @@ class SimilarityComputer:
             if vid in self.net:
                 present.append(vid)
             else:
-                self._drop(vid)
+                self._engine.invalidate(vid)
         for vid in multi_source_ball(
             self.net, present, max(1, self.wl_iterations)
         ):
-            self._drop(vid)
+            self._engine.invalidate(vid)
 
     def invalidate_exact(self, vids: Iterable[int]) -> None:
-        """Drop exactly the given cached profiles — no ball traversal.
+        """Drop exactly the given cached columns — no ball traversal.
 
         For callers that already computed the affected region themselves:
         the streaming walk derives each paper's invalidation set from the
@@ -209,28 +225,23 @@ class SimilarityComputer:
         set; when in doubt use :meth:`invalidate` / :meth:`invalidate_many`.
         """
         for vid in vids:
-            self._drop(vid)
+            self._engine.invalidate(vid)
 
     def attach_paper(self, vid: int, pid: int) -> None:
-        """Fold one newly attributed paper into ``vid``'s cached state.
+        """Fold one newly attributed paper into ``vid``'s cached columns.
 
         The incremental path's attach operation changes no adjacency, so
         the expensive ingredients — WL features and triangles — are
-        reusable verbatim, in the cached profile and in the cached
-        columns alike; only the keyword/venue/year/centroid state moves.
-        Updating in place instead of dropping saves a full rebuild per
-        later read of the vertex, the dominant cost of streaming into
+        reusable verbatim; only the keyword/venue/year/centroid columns
+        move.  Updating in place instead of dropping saves a full rebuild
+        per later read of the vertex, the dominant cost of streaming into
         hot name blocks.
 
-        The moved state is re-derived in the canonical ascending-paper-id
-        order a from-scratch build uses, whatever ``pid`` is, so the
-        updated profile and columns are bit-identical to a rebuild: γ
-        after the attach equals what a fresh computer (a resumed
-        process) computes on the same network.
+        The moved columns are re-derived in the canonical ascending-paper-id
+        order a from-scratch build uses, whatever ``pid`` is, so they are
+        bit-identical to a rebuild: γ after the attach equals what a fresh
+        computer (a resumed process) computes on the same network.
         """
-        profile = self._profiles.get(vid)
-        if profile is not None:
-            self._fill_papers(profile)
         if vid in self._engine:
             self._engine.refresh_papers(vid, self._paper_slots(vid))
 
@@ -239,85 +250,36 @@ class SimilarityComputer:
         net: CollaborationNetwork,
         touched: Iterable[int] = (),
     ) -> None:
-        """Retarget the computer at ``net``, keeping unaffected profiles.
+        """Retarget the computer at ``net``, keeping unaffected columns.
 
         Used between Stage-2 merge rounds: ``net`` is the merged network
         (built with ``preserve_ids=True`` so surviving vertices keep their
         ids), and ``touched`` names the vertices whose neighbourhood
         changed — merge representatives, endpoints of recovered edges.
-        Profiles and columns of vertices that no longer exist are dropped
-        (a merge can lower the next vid, so a later vertex may reuse the
-        id), as is the BFS ball (radius ``max(1, wl_iterations)``) around
-        every touched vertex; everything else persists, including the
-        engine's interned feature columns.
+        Columns of vertices that no longer exist are dropped (a merge can
+        lower the next vid, so a later vertex may reuse the id), as is the
+        BFS ball (radius ``max(1, wl_iterations)``) around every touched
+        vertex; everything else persists, including the engine's interned
+        feature columns.
         """
         self.net = net
-        cached = set(self._profiles).union(self._engine.cached_vids())
-        for vid in [v for v in cached if v not in net]:
-            self._drop(vid)
+        for vid in self._engine.cached_vids():
+            if vid not in net:
+                self._engine.invalidate(vid)
         # Touched sets can cover much of the network (e.g. relation
         # recovery), so their balls are unioned in one BFS.
         self.invalidate_many(touched)
 
-    def _keywords_of(self, pid: int) -> tuple[str, ...]:
-        words = self._paper_keywords.get(pid)
-        if words is None:
-            words = tuple(
-                extract_keywords(self.corpus[pid].title, self.frequent_keywords)
-            )
-            self._paper_keywords[pid] = words
-        return words
-
-    def _build_profile(self, vid: int) -> VertexProfile:
-        vertex = self.net.vertex(vid)
-        profile = VertexProfile(
-            vid=vid,
-            name=vertex.name,
-            n_papers=0,
-            keywords=Counter(),
-            keyword_years={},
-            centroid=None,
-            venues=Counter(),
-            top_venue=None,
-            triangles=frozenset(coauthor_triangle_names(self.net, vid)),
-            wl_features=wl_feature_map(
-                self.net, vid, self.wl_iterations, self._engine.wl_labels
-            ),
-        )
-        self._fill_papers(profile)
-        return profile
-
-    def _fill_papers(self, profile: VertexProfile) -> None:
-        """(Re)derive ``profile``'s paper state from the vertex's papers."""
-        vertex = self.net.vertex(profile.vid)
-        keywords: Counter[str] = Counter()
-        keyword_years: dict[str, tuple[int, int]] = {}
-        venues: Counter[str] = Counter()
-        # Canonical paper order: set iteration order does not survive a
-        # pickle round trip, and the insertion order of these counters
-        # decides float accumulation order downstream (γ3 centroids, γ4/γ6
-        # weighted sums).  Sorting keeps profiles bit-identical between a
-        # parent process and a shard worker that received the network over
-        # a pipe — the property the shard-vs-global parity tests pin.
-        for pid in sorted(vertex.papers):
-            paper = self.corpus[pid]
-            venues[paper.venue] += 1
-            for word in self._keywords_of(pid):
-                keywords[word] += 1
-                lo, hi = keyword_years.get(word, (paper.year, paper.year))
-                keyword_years[word] = (min(lo, paper.year), max(hi, paper.year))
-        profile.n_papers = len(vertex.papers)
-        profile.keywords = keywords
-        profile.keyword_years = keyword_years
-        profile.venues = venues
-        profile.top_venue = venues.most_common(1)[0][0] if venues else None
-        profile.centroid = (
-            self.embeddings.centroid(keywords) if self.embeddings else None
-        )
-
     def _paper_slots(self, vid: int) -> list[int]:
         """Registry slots of ``vid``'s papers in ascending paper id,
-        registering papers the engine has not seen yet."""
+        registering papers the engine has not seen yet.
+
+        Ascending paper id is the canonical order of every per-vertex
+        build: it decides the first-seen order of keywords and venues and
+        the row order of the γ3 centroid, so columns come out
+        bit-identical whatever order the vertex's papers arrived in, and
+        in a shard worker that received the network over a pipe.
+        """
         slot_of = self._engine.paper_slot
         slots: list[int] = []
         for pid in sorted(self.net.vertex(vid).papers):
@@ -325,7 +287,7 @@ class SimilarityComputer:
             if slot is None:
                 paper = self.corpus[pid]
                 slot = self._engine.register_paper(
-                    pid, self._keywords_of(pid), paper.year, paper.venue
+                    pid, extract_keywords(paper.title), paper.year, paper.venue
                 )
             slots.append(slot)
         return slots
@@ -334,8 +296,8 @@ class SimilarityComputer:
         """Columns of the given vertices in one engine pass.
 
         Papers are registered vertex by vertex in ascending vid and paper
-        id, so keywords and venues are interned in the same first-seen
-        order a profile-by-profile build would use.  WL labels and
+        id, so keywords and venues are interned in a first-seen order
+        that depends only on the network, never on call history.  WL labels and
         triangles of the whole block come from one
         :func:`~repro.graphs.ego.ego_features` pass over a local int CSR
         of the union of the block's balls: refined WL labels are interned
@@ -363,10 +325,12 @@ class SimilarityComputer:
     def similarity_vector(self, u: int, v: int) -> np.ndarray:
         """``γ`` for the vertex pair ``(u, v)`` — six non-negative reals
         except γ3 which lives in ``[-1, 1]``."""
-        pu, pv = self.profile(u), self.profile(v)
+        return self._gamma(self.profile(u), self.profile(v))
+
+    def _gamma(self, pu: VertexProfile, pv: VertexProfile) -> np.ndarray:
         tau = max(1, min(pu.n_papers, pv.n_papers))
         gamma = np.empty(N_SIMILARITIES, dtype=np.float64)
-        gamma[0] = self._wl(pu, pv)
+        gamma[0] = normalized_wl_kernel(pu.wl_features, pv.wl_features)
         gamma[1] = clique_coincidence(pu.triangles, pv.triangles, tau)
         gamma[2] = self._interest(pu, pv)
         gamma[3] = time_consistency(
@@ -384,11 +348,6 @@ class SimilarityComputer:
         )
         return gamma
 
-    def _wl(self, pu: VertexProfile, pv: VertexProfile) -> float:
-        from ..graphs.wl import normalized_wl_kernel
-
-        return normalized_wl_kernel(pu.wl_features, pv.wl_features)
-
     def _interest(self, pu: VertexProfile, pv: VertexProfile) -> float:
         if pu.centroid is not None and pv.centroid is not None:
             return cosine(pu.centroid, pv.centroid)
@@ -398,7 +357,6 @@ class SimilarityComputer:
     def pair_matrix(
         self,
         pairs: Sequence[tuple[int, int]],
-        transient: frozenset[int] = frozenset(),
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Similarity vectors for many pairs, stacked into ``(n, 6)``.
@@ -407,28 +365,23 @@ class SimilarityComputer:
         :meth:`pair_matrix_batched`; the scalar oracle
         :meth:`pair_matrix_perpair` agrees with it to well below 1e-9.
 
-        ``transient`` names score-once-and-discard vertices: their
-        columnar arrays are built for this call but do not linger in the
-        cache afterwards.  Use it when the vertices will never be scored
-        again; callers that re-read their probes (the streaming walk
-        patches stale pairs against the same probes later) deliberately
-        leave them cacheable.
-
         ``out`` optionally supplies the ``(n, 6)`` float64 result buffer
         — the sharded executor's workers pass shared-memory views here
         so γ results never round-trip through pickle.
         """
-        return self.pair_matrix_batched(pairs, transient=transient, out=out)
+        return self.pair_matrix_batched(pairs, out=out)
 
     def pair_matrix_perpair(
         self,
         pairs: Sequence[tuple[int, int]],
-        transient: frozenset[int] = frozenset(),
+        profiles: Mapping[int, VertexProfile] | None = None,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Scalar oracle: one :meth:`similarity_vector` per pair.
+        """Scalar oracle: one γ vector per pair from scalar profiles.
 
-        ``transient`` vertices' profiles are dropped on return.
+        The profiles of the call's vertices are built once for the call,
+        unless the caller passes them (``vid -> profile``, e.g. built with
+        :meth:`profile` ahead of a timed run).
         """
         if out is None:
             out = np.empty((len(pairs), N_SIMILARITIES), dtype=np.float64)
@@ -437,23 +390,19 @@ class SimilarityComputer:
                 f"out buffer has shape {out.shape}, expected "
                 f"{(len(pairs), N_SIMILARITIES)}"
             )
+        if profiles is None:
+            vids = {vid for pair in pairs for vid in pair}
+            profiles = {vid: self.profile(vid) for vid in vids}
         for row, (u, v) in enumerate(pairs):
-            out[row] = self.similarity_vector(u, v)
-        for vid in transient:
-            self._profiles.pop(vid, None)
+            out[row] = self._gamma(profiles[u], profiles[v])
         return out
 
     def pair_matrix_batched(
         self,
         pairs: Sequence[tuple[int, int]],
-        transient: frozenset[int] = frozenset(),
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Vectorised path: all six γ's over the whole list at once."""
         return self._engine.gamma_matrix(
-            pairs,
-            self._build_columns,
-            self.decay_alpha,
-            transient=transient,
-            out=out,
+            pairs, self._build_columns, self.decay_alpha, out=out
         )

@@ -5,6 +5,8 @@ The engine's contract: ``pair_matrix_batched`` equals the scalar
 the embedding-centroid and the no-embeddings fallback branches of γ3.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,15 @@ from repro.data.testing import split_for_incremental
 from repro.graphs import UnionFind, build_scn
 from repro.graphs.collab import CollaborationNetwork
 from repro.similarity import SimilarityComputer
+from repro.similarity import profile as profile_module
+from repro.similarity.batch import VertexArrays
 from repro.text.embeddings import train_title_embeddings
 
 ATOL = 1e-9
+
+
+def _no_profile(*_args, **_kwargs):
+    raise AssertionError("the scoring path built a VertexProfile")
 
 
 def _all_pairs(net):
@@ -129,7 +137,7 @@ class TestOnePath:
     @pytest.mark.parametrize("branch", ["fallback", "centroid"])
     @pytest.mark.parametrize("n_pairs", range(1, 16))
     def test_short_lists_take_the_join_kernel(
-        self, scn, small_corpus, embeddings, branch, n_pairs
+        self, scn, small_corpus, embeddings, branch, n_pairs, monkeypatch
     ):
         """Every list, however short, is scored by the batched engine:
         equal to ``pair_matrix_batched``, within 1e-9 of the scalar
@@ -142,13 +150,40 @@ class TestOnePath:
         candidates = _all_pairs(scn)
         self_pair = (candidates[0][1], candidates[0][1])
         pairs = candidates[: n_pairs - 1] + [self_pair]
-        scored = computer.pair_matrix(pairs)
-        assert not computer._profiles
+        with monkeypatch.context() as patch:
+            patch.setattr(profile_module, "VertexProfile", _no_profile)
+            scored = computer.pair_matrix(pairs)
         np.testing.assert_array_equal(
             scored, computer.pair_matrix_batched(pairs)
         )
         np.testing.assert_allclose(
             scored, computer.pair_matrix_perpair(pairs), rtol=0.0, atol=ATOL
+        )
+
+
+class TestStatelessOracle:
+    @pytest.mark.parametrize("branch", ["fallback", "centroid"])
+    def test_oracle_leaves_no_state(
+        self, scn, small_corpus, embeddings, branch
+    ):
+        """The scalar oracle builds its profiles per call: after
+        ``profile``, ``similarity_vector`` and ``pair_matrix_perpair``, no
+        vertex they read is cached, and the join kernel's output is
+        byte-equal to a fresh computer's."""
+        emb = embeddings if branch == "centroid" else None
+        computer = SimilarityComputer(scn, small_corpus, embeddings=emb)
+        pairs = _all_pairs(scn)[:60]
+        u, v = pairs[0]
+        computer.profile(u)
+        computer.similarity_vector(u, v)
+        computer.pair_matrix_perpair(pairs)
+        assert not any(
+            computer.is_cached(vid) for pair in pairs for vid in pair
+        )
+        fresh = SimilarityComputer(scn, small_corpus, embeddings=emb)
+        assert (
+            computer.pair_matrix(pairs).tobytes()
+            == fresh.pair_matrix(pairs).tobytes()
         )
 
 
@@ -159,10 +194,8 @@ class TestEngineCache:
         pairs = _all_pairs(net)[:20]
         before = computer.pair_matrix_batched(pairs)
         vid = pairs[0][0]
-        # The batched path caches columns only; is_cached covers both.
         assert computer.is_cached(vid)
         assert vid in computer._engine
-        assert vid not in computer._profiles
         computer.invalidate(vid)
         assert not computer.is_cached(vid)
         assert vid not in computer._engine
@@ -186,40 +219,6 @@ class TestEngineCache:
         assert len(engine._kw) == n_kw
         assert len(engine._ven) == n_ven
 
-    def test_transient_vertices_bypass_caches(self, small_corpus, embeddings):
-        """The probe-scoring path: transient vids are scored once and
-        leave neither profile nor columnar arrays (nor leaked centroid
-        slots) behind."""
-        net, _ = build_scn(small_corpus, eta=2)
-        computer = SimilarityComputer(
-            net, small_corpus, embeddings=embeddings
-        )
-        pairs = _all_pairs(net)[:24]
-        probes = sorted({u for u, _v in pairs})
-        plain = computer.pair_matrix_batched(pairs)
-        for vid in probes:
-            computer.invalidate(vid)
-        engine = computer._engine
-        used_before = engine._cent_used - len(engine._cent_free)
-        transient = computer.pair_matrix_batched(
-            pairs, transient=frozenset(probes)
-        )
-        np.testing.assert_allclose(transient, plain, rtol=0.0, atol=ATOL)
-        for vid in probes:
-            assert not computer.is_cached(vid)
-            assert vid not in engine
-        # Centroid slots borrowed for the transient rows were released.
-        assert engine._cent_used - len(engine._cent_free) <= used_before
-
-    def test_transient_scalar_path_drops_profiles(self, small_corpus):
-        net, _ = build_scn(small_corpus, eta=2)
-        computer = SimilarityComputer(net, small_corpus, embeddings=None)
-        pairs = _all_pairs(net)[:4]
-        probes = frozenset(u for u, _v in pairs)
-        computer.pair_matrix_perpair(pairs, transient=probes)
-        for vid in probes:
-            assert not computer.is_cached(vid)
-
     def test_invalidate_exact_drops_only_given_vids(self, small_corpus):
         net, _ = build_scn(small_corpus, eta=2)
         computer = SimilarityComputer(net, small_corpus, embeddings=None)
@@ -235,8 +234,8 @@ class TestEngineCache:
 
 class TestAttachPaper:
     def test_in_place_update_matches_rebuild(self, small_corpus, embeddings):
-        """`attach_paper` must be value-equivalent to dropping the profile
-        and rebuilding it after the mention landed."""
+        """`attach_paper` must leave the cached columns equal to dropping
+        them and rebuilding after the mention landed."""
         corpus = Corpus(list(small_corpus))  # session fixture stays pristine
         net, _ = build_scn(corpus, eta=2)
         computer = SimilarityComputer(net, corpus, embeddings=embeddings)
@@ -254,24 +253,31 @@ class TestAttachPaper:
             year=2021,
         )
         corpus.add(paper)
-        computer.profile(target)  # warm the cache
+        computer.pair_matrix([(target, target)])  # warm the columns
         net.add_mention(target, new_pid, 0)
         computer.attach_paper(target, new_pid)
-        updated = computer.profile(target)
-        rebuilt = computer._build_profile(target)
-        assert updated.n_papers == rebuilt.n_papers
-        assert updated.keywords == rebuilt.keywords
-        assert updated.keyword_years == rebuilt.keyword_years
-        assert updated.venues == rebuilt.venues
-        assert updated.top_venue == rebuilt.top_venue
-        assert updated.wl_features == rebuilt.wl_features
-        assert updated.triangles == rebuilt.triangles
-        if updated.centroid is None:
-            assert rebuilt.centroid is None
-        else:
-            np.testing.assert_allclose(
-                updated.centroid, rebuilt.centroid, rtol=0.0, atol=1e-12
+        engine = computer._engine
+        updated = engine._arrays[target]
+        centroid = (
+            None
+            if updated.cent_slot < 0
+            else engine._cent_matrix[updated.cent_slot].copy()
+        )
+        computer.invalidate_exact([target])
+        computer.pair_matrix([(target, target)])  # rebuild, same interners
+        rebuilt = engine._arrays[target]
+        assert rebuilt is not updated
+        for field in dataclasses.fields(VertexArrays):
+            if field.name != "cent_slot":
+                assert np.array_equal(
+                    getattr(updated, field.name), getattr(rebuilt, field.name)
+                ), f"attach left a stale {field.name}"
+        assert (updated.cent_slot < 0) == (rebuilt.cent_slot < 0)
+        if centroid is not None:
+            np.testing.assert_array_equal(
+                centroid, engine._cent_matrix[rebuilt.cent_slot]
             )
+        assert computer.profile(target).n_papers == rebuilt.n_papers
 
     def test_attach_on_cold_cache_is_noop(self, small_corpus):
         corpus = Corpus(list(small_corpus))
@@ -288,19 +294,14 @@ class TestAttachPaper:
         assert profile.n_papers == len(net.papers_of(target))
 
 
-def _cached_vids(computer):
-    return set(computer._profiles) | set(computer._engine.cached_vids())
-
-
 def _assert_resident(computer):
-    stale = sorted(v for v in _cached_vids(computer) if v not in computer.net)
+    cached = computer._engine.cached_vids()
+    stale = sorted(v for v in cached if v not in computer.net)
     assert not stale, f"caches hold vertices no longer in the network: {stale}"
 
 
 class TestCacheResidency:
-    """Every cached profile or column entry belongs to a live vertex —
-    the batched path fills only the column cache, so sweeping the
-    profile cache alone would leave dead columns behind."""
+    """Every cached column entry belongs to a live vertex."""
 
     @pytest.fixture(scope="class")
     def fitted_and_burst(self, small_corpus):
@@ -321,7 +322,7 @@ class TestCacheResidency:
         computer = iuad.computer_
         assert iuad.report_.n_merges > 0
         assert computer.net is iuad.gcn_
-        assert _cached_vids(computer)
+        assert computer._engine.cached_vids()
         _assert_resident(computer)
 
         # An explicit merge round: score everything, merge one same-name
@@ -397,8 +398,8 @@ class TestCacheResidency:
 class TestAttachOutOfOrder:
     def test_live_gamma_equals_fresh_computer(self, small_corpus, embeddings):
         """Attaching a paper whose id is *not* the vertex's largest must
-        leave the live γ byte-equal to a fresh computer on the same
-        network — what a resumed process computes — on both paths."""
+        leave the live γ and columns byte-equal to a fresh computer on
+        the same network — what a resumed process computes."""
         hole = sorted(p.pid for p in small_corpus)[len(small_corpus) // 2]
         corpus = Corpus(p for p in small_corpus if p.pid != hole)
         net, _ = build_scn(corpus, eta=2)
@@ -423,8 +424,7 @@ class TestAttachOutOfOrder:
             and len(donor_words - set(live.profile(vid).keywords)) >= 3
         )
         target_pairs = [pair for pair in pairs if target in pair]
-        live.pair_matrix_perpair(target_pairs)  # cache the scalar profile
-        assert target in live._profiles and target in live._engine
+        assert target in live._engine
 
         corpus.add(
             Paper(hole, (net.name_of(target),), donor.title, donor.venue, 2021)
@@ -442,15 +442,14 @@ class TestAttachOutOfOrder:
         np.testing.assert_array_equal(
             live.pair_matrix_batched(pairs), fresh.pair_matrix_batched(pairs)
         )
-        np.testing.assert_array_equal(
+        np.testing.assert_allclose(
+            live.pair_matrix_batched(target_pairs),
             live.pair_matrix_perpair(target_pairs),
-            fresh.pair_matrix_perpair(target_pairs),
+            rtol=0.0,
+            atol=ATOL,
         )
         # The state itself, not only γ: a centroid summed in another row
         # order is off by ~1e-18, which γ3's rounding can hide.
-        np.testing.assert_array_equal(
-            live.profile(target).centroid, fresh.profile(target).centroid
-        )
         ours, theirs = live._engine, fresh._engine
         a, b = ours._arrays[target], theirs._arrays[target]
         columns = ("kw_cols", "kw_counts", "kw_lohi", "ven_cols", "ven_counts")

@@ -78,7 +78,7 @@ class TestIncremental:
     def test_streaming_drops_stale_wl_ball(self, base_setup):
         """Regression: after a streamed paper inserts an edge, every vertex
         within ``wl_iterations`` hops of the touched endpoints must lose its
-        cached profile (2-hop neighbours kept stale γ1 caches before).
+        cached columns (2-hop neighbours kept stale γ1 caches before).
 
         The conservative radius-h drop is the oracle's; ``add_papers``
         drops only the exact value stain (``TestNoStaleCache``)."""
@@ -93,8 +93,7 @@ class TestIncremental:
             if pid not in iuad.corpus_
             and len(full_corpus[pid].authors) >= 2
         )
-        for vertex in gcn:
-            computer.profile(vertex.vid)
+        computer.pair_matrix([(vertex.vid, vertex.vid) for vertex in gcn])
         assignments = sequential_add_paper(inc, paper)
         assert len(assignments) >= 2  # an edge was recovered
         radius = max(1, iuad.config.wl_iterations)
@@ -102,7 +101,7 @@ class TestIncremental:
             for vid in ball(gcn, assignment.vid, radius):
                 assert not computer.is_cached(vid), (
                     f"vertex {vid} within {radius} hops of touched vertex "
-                    f"{assignment.vid} kept a stale profile"
+                    f"{assignment.vid} kept stale columns"
                 )
 
     def test_duplicate_name_mentions_do_not_self_attach(self, base_setup):
@@ -312,21 +311,13 @@ class TestOneIngestPath:
 # --------------------------------------------------------------------- #
 # no stale cached value: the invariant behind the exact value stain
 # --------------------------------------------------------------------- #
-def _profile_key(profile):
-    return (
-        profile.name, profile.n_papers, profile.keywords,
-        profile.keyword_years, profile.venues, profile.top_venue,
-        profile.triangles, profile.wl_features,
-    )
-
-
 def assert_no_stale_cache(computer):
-    """Every cached column set and profile equals a fresh build.
+    """Every cached column set equals a fresh build.
 
     The fresh build runs on a cache-cleared copy of the engine (same
-    interners, so column ids agree); the live caches stay untouched.
+    interners, so column ids agree); the live cache stays untouched.
     """
-    engine, profiles = computer._engine, computer._profiles
+    engine = computer._engine
     shared = (
         engine._embeddings, engine._word_frequencies,
         engine._venue_frequencies,
@@ -334,12 +325,11 @@ def assert_no_stale_cache(computer):
     clean = copy.deepcopy(engine, {id(x): x for x in shared})
     clean.clear()
     cached = sorted(engine.cached_vids())
-    computer._engine, computer._profiles = clean, {}
+    computer._engine = clean
     try:
         fresh = computer._build_columns(cached) if cached else []
-        fresh_profiles = [computer._build_profile(vid) for vid in profiles]
     finally:
-        computer._engine, computer._profiles = engine, profiles
+        computer._engine = engine
     for new in fresh:
         old = engine._arrays[new.vid]
         for field in dataclasses.fields(VertexArrays):
@@ -353,17 +343,11 @@ def assert_no_stale_cache(computer):
                 engine._cent_matrix[old.cent_slot],
                 clean._cent_matrix[new.cent_slot],
             ), f"vertex {new.vid} kept a stale centroid"
-    for new in fresh_profiles:
-        old = profiles[new.vid]
-        assert _profile_key(old) == _profile_key(new), (
-            f"vertex {new.vid} kept a stale profile"
-        )
-        assert np.array_equal(old.centroid, new.centroid)
 
 
 def _warm(fitted, papers):
-    """Cache columns and profiles around the names the papers carry, so
-    the ingest has cached values to leave stale."""
+    """Cache columns around the names the papers carry, so the ingest
+    has cached values to leave stale."""
     gcn, computer = fitted.gcn_, fitted.computer_
     seeds = {
         vid
@@ -374,8 +358,6 @@ def _warm(fitted, papers):
     radius = max(1, fitted.config.wl_iterations) + 1
     warm = sorted({v for s in seeds for v in ball(gcn, s, radius)})
     computer.pair_matrix(list(zip(warm, warm[1:])))
-    for vid in warm[::2]:
-        computer.profile(vid)
 
 
 @pytest.fixture(scope="module")

@@ -28,6 +28,7 @@ from repro.core.sharding import ShardIndex, plan_shards
 from repro.data.records import Corpus, Paper
 from repro.data.synthetic import ambiguous_names
 from repro.graphs import CollaborationNetwork, combine_networks
+from repro.graphs.wl import multi_source_ball
 
 
 def mention_clusterings(est, names):
@@ -128,6 +129,8 @@ class TestShardVsGlobalParity:
         single = IUAD(config).fit(small_corpus)
         sharded = ShardedIUAD(replace(config, n_workers=0)).fit(small_corpus)
         assert single.report_.per_round_merges[1] > 0
+        # Round two re-scores on the shards' sub-networks: they keep a halo.
+        assert any(s.n_halo for s in sharded.report_.shard_stats)
         assert (
             sharded.report_.per_round_merges
             == single.report_.per_round_merges
@@ -156,6 +159,22 @@ class TestShardReporting:
         assert (
             report.gcn_mentions == small_corpus.num_author_paper_pairs
         )
+
+    def test_one_round_fit_plans_no_halo(self, small_corpus):
+        sharded = ShardedIUAD(IUADConfig(max_shard_size=300)).fit(small_corpus)
+        assert sharded.report_.shard_stats
+        assert all(s.n_halo == 0 for s in sharded.report_.shard_stats)
+        assert all(not s.halo_vids for s in sharded.plan_.shards)
+
+    def test_halo_radius_counts_hops(self, small_corpus):
+        scn, _ = IUAD(IUADConfig())._build_scn(small_corpus)
+        for radius in (0, 1, 2):
+            plan = plan_shards(
+                scn, small_corpus, max_shard_size=300, halo_radius=radius
+            )
+            for shard in plan.shards:
+                reach = multi_source_ball(scn, shard.owned_vids, radius)
+                assert set(shard.halo_vids) == reach - set(shard.owned_vids)
 
     def test_partition_covers_every_pair_bearing_name_once(
         self, small_corpus

@@ -205,24 +205,31 @@ class TestSimilarityComputer:
         net.add_edge(w, u, (1,))
         net.add_edge(w, v, (2,))
         computer = SimilarityComputer(net, corpus)
-        stale = computer.profile(x).wl_features.copy()
+        computer.pair_matrix([(x, x)])
+        stale = computer._engine._arrays[x]
         assert computer.is_cached(x)
 
         net.add_edge(u, v, (3,))  # the incremental-mode edge insertion
         computer.invalidate(u)
         computer.invalidate(v)
         assert not computer.is_cached(x), "2-hop neighbour kept a stale cache"
-        fresh = computer.profile(x).wl_features
-        assert fresh != stale, "recomputed WL features should see the edge"
+        computer.pair_matrix([(x, x)])
+        fresh = computer._engine._arrays[x]
+        assert not np.array_equal(fresh.wl_cols, stale.wl_cols), (
+            "recomputed WL features should see the edge"
+        )
 
     def test_invalidate_refreshes_profile(self, setup):
         net, computer = setup
         vid = net.vertices_of_name("X Y")[0]
-        before = computer.profile(vid).n_papers
+        computer.pair_matrix([(vid, vid)])
+        before = computer._engine._arrays[vid].n_papers
         net.add_papers(vid, {999_999})
         computer.invalidate(vid)
-        # profile rebuild must not crash on a paper id missing from the
-        # corpus? -> it should: vertices only ever hold corpus papers.
+        assert not computer.is_cached(vid)
+        # A column rebuild would fail on a paper id missing from the
+        # corpus: vertices only ever hold corpus papers.
         net.set_papers(vid, set(p for p in net.papers_of(vid) if p != 999_999))
         computer.invalidate(vid)
-        assert computer.profile(vid).n_papers == before
+        computer.pair_matrix([(vid, vid)])
+        assert computer._engine._arrays[vid].n_papers == before

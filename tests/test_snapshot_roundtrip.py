@@ -317,8 +317,9 @@ def test_truncated_snapshot_fails_alike_at_every_entry_point(
 def test_v1_fixture_still_loads_and_serves(tmp_path):
     """The committed v1 snapshot (see ``fixtures/make_snapshot_fixture.py``)
     must keep loading verbatim in every future build.  Its retired
-    ``computer.batch_threshold`` key is ignored on read and not written
-    back when the resumed state is saved."""
+    ``computer.batch_threshold`` key and empty
+    ``computer.frequent_keywords`` list are ignored on read and not
+    written back when the resumed state is saved."""
     from repro.data.records import Paper
 
     snapshot = Snapshot.load(FIXTURE)
@@ -346,10 +347,25 @@ def test_v1_fixture_still_loads_and_serves(tmp_path):
         tmp_path / "resaved.jsonl"
     )
     sections = read_document(resaved)["sections"]
-    assert "batch_threshold" not in sections["computer"]
+    assert fixture_section("computer")["frequent_keywords"] == []
+    assert set(sections["computer"]) == {
+        "word_frequencies", "venue_frequencies"
+    }
     assert not LEGACY_STREAM_KEYS & set(sections["stream"])
     assert "incremental_timing_window" not in sections["config"]
     assert verify_snapshot(Snapshot.load(resaved)) == []
+
+
+def test_legacy_nonempty_frequent_keywords_is_refused():
+    """A keyword blocklist would change γ, and this build has none to
+    honour: a snapshot carrying a non-empty one is refused, not served
+    with silently different scores."""
+    document = read_document(FIXTURE)
+    document["sections"]["computer"]["frequent_keywords"] = ["query"]
+    with pytest.raises(ValueError) as excinfo:
+        Snapshot.from_document(document)
+    message = str(excinfo.value)
+    assert "frequent_keywords" in message and "\n" not in message
 
 
 def test_delta_record_with_legacy_stream_keys_replays(tmp_path):

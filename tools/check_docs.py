@@ -101,8 +101,6 @@ KNOWN_FUTURE_ARTIFACTS = {
     # machines; the README documents it as the upgrade path over the
     # committed BENCH_sharding.quick.json record.
     "BENCH_sharding.json",
-    # The ROADMAP proposes this module as the one home of the test oracles.
-    "repro.testing.oracle",
 }
 
 
