@@ -293,30 +293,17 @@ def time_per_name(
     corpus: Corpus,
     names: Iterable[str],
     fraction: float = 1.0,
-    repeats: int = 3,
 ) -> TimingResult:
-    """Average per-name time of a top-down baseline.
-
-    The names are clustered ``repeats`` times and the fastest pass counts,
-    as ``timeit`` does.  A pass costs milliseconds at small scales, so a
-    single pass would also carry the method's one-off first-call costs
-    and any stall of a shared machine, which the scale comparison of
-    Table V must not read as per-name work.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    """Average per-name time of a top-down baseline."""
     names = list(names)
-    passes = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for name in names:
-            cluster_name(corpus, name)
-        passes.append(time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    for name in names:
+        cluster_name(corpus, name)
     return TimingResult(
         method=method_name,
         fraction=fraction,
         n_names=len(names),
-        total_seconds=min(passes),
+        total_seconds=time.perf_counter() - t0,
     )
 
 

@@ -314,16 +314,6 @@ class CollaborationNetwork:
         """
         if self._adj[vid]:
             raise ValueError(f"vertex {vid} has edges; only isolated vertices are removable")
-        self.remove_vertex(vid)
-
-    def remove_vertex(self, vid: int) -> None:
-        """Remove a vertex together with its incident edges.
-
-        The other vertices keep their ids.  Used by the SCN builder to drop
-        an SCR vertex that won none of its name's mentions.
-        """
-        for nbr in self._adj[vid]:
-            del self._adj[nbr][vid]
         name = self._vertices[vid].name
         self._by_name[name].remove(vid)
         if not self._by_name[name]:

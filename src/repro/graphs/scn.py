@@ -277,10 +277,6 @@ class SCNBuilder:
         co-authors) always produces two vertices — the second occurrence
         takes the runner-up SCR vertex, or a fresh singleton when no other
         covering vertex exists.
-
-        An SCR vertex whose papers all went to other vertices of its name
-        owns no mention, so it names no author; it is removed with its
-        edges.  Every vertex of the built network owns at least one mention.
         """
         # owner candidates: name -> pid -> [vid]
         owners: dict[str, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
@@ -308,11 +304,8 @@ class SCNBuilder:
                     )
                 used.add(vid)
                 assigned[vid].append((paper.pid, position))
-        for vertex in list(net):
-            if vertex.vid in assigned:
-                net.set_mentions(vertex.vid, assigned[vertex.vid])
-            else:
-                net.remove_vertex(vertex.vid)
+        for vertex in net:
+            net.set_mentions(vertex.vid, assigned.get(vertex.vid, ()))
 
 
 def build_scn(

@@ -116,25 +116,6 @@ class TestMineSCRs:
         assert all(vertex.mentions for vertex in net)
         assert report.n_mentions == corpus.num_author_paper_pairs
 
-    def test_vertex_left_without_mentions_is_dropped(self):
-        """Three uncertified SCRs give ``x`` three vertices for its three
-        papers; papers 1 and 2 go to the first, paper 3 to the second, so
-        the ``(x, z)`` vertex owns nothing and leaves with its edge."""
-        corpus = corpus_of([("x", "q", "y"), ("x", "q", "z"), ("x", "y", "z")])
-        net, report = build_scn(corpus, eta=2)
-        assert all(vertex.mentions for vertex in net)
-        assert {v.name: v.papers for v in net if v.name != "x"} == {
-            "q": {1, 2},
-            "y": {1, 3},
-            "z": {2, 3},
-        }
-        assert sorted(net.papers_of(v) for v in net.vertices_of_name("x")) == [
-            {1, 2},
-            {3},
-        ]
-        assert (report.n_vertices, report.n_edges, report.n_isolated) == (5, 2, 1)
-        assert report.n_mentions == corpus.num_author_paper_pairs
-
 
 class TestFigure2Construction:
     """The full running example: expected vertices, edges, papers."""
