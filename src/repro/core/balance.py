@@ -63,22 +63,23 @@ def split_prolific_vertices(
 
     for vertex in net:
         papers = sorted(vertex.papers)
+        parts = [papers]
         if vertex.vid in to_split:
             rng.shuffle(papers)
             half = len(papers) // 2
-            first = out.add_vertex(vertex.name, papers=papers[:half])
-            second = out.add_vertex(vertex.name, papers=papers[half:])
-            mapping[vertex.vid] = (first, second)
-            matched_pairs.append((first, second))
-            for pid in papers[:half]:
-                owner[(vertex.vid, pid)] = first
-            for pid in papers[half:]:
-                owner[(vertex.vid, pid)] = second
-        else:
-            new_vid = out.add_vertex(vertex.name, papers=papers)
-            mapping[vertex.vid] = (new_vid,)
-            for pid in papers:
+            parts = [papers[:half], papers[half:]]
+        new_vids = []
+        for part in parts:
+            new_vid = out.add_vertex(
+                vertex.name,
+                mentions=[(pid, vertex.mentions[pid]) for pid in part],
+            )
+            new_vids.append(new_vid)
+            for pid in part:
                 owner[(vertex.vid, pid)] = new_vid
+        mapping[vertex.vid] = tuple(new_vids)
+        if len(new_vids) == 2:
+            matched_pairs.append((new_vids[0], new_vids[1]))
 
     for u, v, edge_papers in net.edges():
         for pid in edge_papers:
@@ -88,13 +89,4 @@ def split_prolific_vertices(
             nu = owner.get((u, pid), mapping[u][0])
             nv = owner.get((v, pid), mapping[v][0])
             out.add_edge(nu, nv, (pid,))
-    # add_edge grows vertex paper sets; restore the exact split attribution.
-    for vid, halves in mapping.items():
-        original = sorted(net.papers_of(vid))
-        if len(halves) == 2:
-            first_set = {p for p in original if owner[(vid, p)] == halves[0]}
-            out.set_papers(halves[0], first_set)
-            out.set_papers(halves[1], set(original) - first_set)
-        else:
-            out.set_papers(halves[0], original)
     return SplitResult(network=out, matched_pairs=matched_pairs, mapping=mapping)

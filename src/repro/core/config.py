@@ -76,14 +76,6 @@ class IUADConfig:
             influence each other within a round); with more rounds it
             can miss cross-shard profile updates between rounds — keep
             blocks whole (``0``) when that matters.
-        mp_start_method: Start method of the sharded fit's process pool
-            (``"fork"``, ``"spawn"`` or ``"forkserver"``).  ``None``
-            (default) picks ``"fork"`` where the platform offers it —
-            workers then inherit the SCN/corpus copy-on-write — and
-            ``"spawn"`` elsewhere.  Pinned explicitly via
-            ``multiprocessing.get_context`` so a host application
-            changing the *global* start method cannot silently flip the
-            shipping path.
         duplicate_paper_policy: What the incremental path does when a
             streamed paper's pid is already in the fitted corpus.
             ``"raise"`` (default) rejects the re-ingest with a
@@ -136,7 +128,6 @@ class IUADConfig:
     seed: int = 29
     n_workers: int = 0
     max_shard_size: int = 4000
-    mp_start_method: str | None = None
     duplicate_paper_policy: str = "raise"
     checkpoint_every_n_papers: int = 0
     checkpoint_mode: str = "full"
@@ -178,11 +169,6 @@ class IUADConfig:
         if self.max_shard_size < 0:
             raise ValueError(
                 f"max_shard_size must be >= 0, got {self.max_shard_size}"
-            )
-        if self.mp_start_method not in (None, "fork", "spawn", "forkserver"):
-            raise ValueError(
-                "mp_start_method must be None, 'fork', 'spawn' or "
-                f"'forkserver', got {self.mp_start_method!r}"
             )
         if not 0.0 < self.sample_rate <= 1.0:
             raise ValueError(

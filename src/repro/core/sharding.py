@@ -606,6 +606,15 @@ SPLIT_CHUNK_PAIRS = 50
 #: pool runs fill byte-identical buffers.
 GAMMA_CHUNK_PAIRS = 2048
 
+#: Start method of the ``n_workers >= 1`` process pool: ``"fork"`` where
+#: the platform offers it (workers inherit the SCN and corpus
+#: copy-on-write), ``"spawn"`` elsewhere.  Pinned through
+#: ``multiprocessing.get_context``, so a host application changing the
+#: *global* start method cannot flip the shipping path.
+START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
+
 
 @dataclass(slots=True)
 class _SplitScoreTask:
@@ -987,7 +996,7 @@ class ShardedIUAD(IUAD):
         if plan.fastpath_vids:
             nets.append(scn.subnetwork(plan.fastpath_vids))
         gcn, _mappings = combine_networks(nets)
-        touched = self._recover_relations(gcn, corpus)
+        self._recover_relations(gcn, corpus)
         # Re-apply the cannot-link constraints on the stitched id space:
         # the pairs that must never merge (homonymous co-authors) are
         # re-derived from the preserved mention payloads and re-registered
@@ -1008,7 +1017,6 @@ class ShardedIUAD(IUAD):
             decay_alpha=cfg.decay_alpha,
             venue_frequencies=venue_freq,
         )
-        computer.invalidate_many(touched)
         stage2 = time.perf_counter() - t1
 
         self.corpus_ = corpus
@@ -1247,21 +1255,15 @@ class ShardedIUAD(IUAD):
         """The worker pool of a ``config.n_workers >= 1`` fit.
 
         Fork workers inherit the context :meth:`_run` installed before
-        the pool forks; spawn/forkserver workers receive it pickled once
-        through the initializer.  Either way the initializer then
-        freezes the worker heap (see :func:`_boot_pool_worker`).
+        the pool forks; spawn workers receive it pickled once through the
+        initializer.  Either way the initializer then freezes the worker
+        heap (see :func:`_boot_pool_worker`).
         """
-        cfg = self.config
-        method = cfg.mp_start_method or (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
         return ProcessPoolExecutor(
-            max_workers=cfg.n_workers,
-            mp_context=multiprocessing.get_context(method),
+            max_workers=self.config.n_workers,
+            mp_context=multiprocessing.get_context(START_METHOD),
             initializer=_boot_pool_worker,
-            initargs=() if method == "fork" else (ctx,),
+            initargs=() if START_METHOD == "fork" else (ctx,),
         )
 
     @staticmethod

@@ -255,12 +255,12 @@ class StreamingIngestor:
         # Re-entrant: add_papers -> _maybe_checkpoint -> checkpoint
         # re-acquires while the burst still holds the write side.
         self._write_lock = threading.RLock()
-        # Delta-chain state: the journal collects (paper, decisions)
-        # pairs as ingestion happens — a delta checkpoint drains it into
-        # one appended record.  Armed up front in delta mode (or by the
-        # first explicit delta checkpoint).
+        # Delta-chain state: while a chain exists (``_delta_base_fp`` is
+        # set), the journal collects (paper, decisions) pairs as ingestion
+        # happens — the next delta checkpoint drains it into one appended
+        # record.  Papers ingested before the chain's base is written are
+        # inside that base, so nothing is journaled for them.
         self._journal: list[tuple[Paper, list[tuple[int, bool]]]] = []
-        self._journal_armed = iuad.config.checkpoint_mode == "delta"
         self._delta_seq = 0
         self._delta_base_fp: str | None = None
         self._delta_base_path: Path | None = None
@@ -274,10 +274,8 @@ class StreamingIngestor:
     def set_checkpoint_mode(self, mode: str) -> None:
         """Override ``config.checkpoint_mode`` on the live ingestor.
 
-        Switching to ``"delta"`` arms the journal immediately, so every
-        paper from this moment on is replayable; papers ingested before
-        the switch are covered by the base the first delta checkpoint
-        writes.
+        Papers ingested before the first delta checkpoint are covered by
+        the base that checkpoint writes.
         """
         if mode not in ("full", "delta"):
             raise ValueError(
@@ -285,8 +283,6 @@ class StreamingIngestor:
             )
         with self._write_lock:
             self.iuad.config.checkpoint_mode = mode
-            if mode == "delta":
-                self._journal_armed = True
 
     # ------------------------------------------------------------------ #
     # durable checkpoints & warm-start resume
@@ -370,7 +366,6 @@ class StreamingIngestor:
                 f"{self._delta_base_path}; cannot append to {target} "
                 "(write a full checkpoint there instead)"
             )
-        self._journal_armed = True
         if self._delta_base_fp is None:
             # First delta checkpoint: establish the base (O(corpus), once).
             snapshot = snapshot_of(self.iuad, stream=self.report)
@@ -380,9 +375,8 @@ class StreamingIngestor:
             self._delta_base_fp = delta_chain.document_fingerprint(document)
             self._delta_base_path = Path(target)
             self._delta_chain_len = 0
-            # Everything journaled so far is inside the base; a stale log
-            # from an earlier run must not pollute the new chain.
-            self._journal.clear()
+            # A stale log from an earlier run must not pollute the new
+            # chain.
             log_path = delta_chain.delta_log_path(target)
             if log_path.exists():
                 delta_chain.truncate_log(log_path)
@@ -458,7 +452,6 @@ class StreamingIngestor:
                 records[-1].seq if records else snapshot.delta_seq
             )
             ingestor._delta_chain_len = len(records)
-            ingestor._journal_armed = True
         return ingestor
 
     # ------------------------------------------------------------------ #
@@ -666,7 +659,7 @@ class StreamingIngestor:
             else:
                 stained.update(a.vid for a in assignments if not a.created)
             results[index] = assignments
-            if self._journal_armed:
+            if self._delta_base_fp is not None:
                 self._journal.append(
                     (paper, [(a.vid, a.created) for a in assignments])
                 )
@@ -814,7 +807,6 @@ class StreamingIngestor:
         if best_i >= 0 and best_score >= self.iuad.config.incremental_delta:
             target = candidates[best_i]
             gcn.add_mention(target, pid, position)
-            gcn.set_mentions(probe, ())
             # The probe never acquired edges; it was scored, so drop its
             # cached state too or the store leaks one entry per attach.
             gcn.remove_isolated_vertex(probe)

@@ -2,8 +2,8 @@
 
 Definition 1 of the paper: a collaboration network is a graph
 ``G = (V, E, P)`` where every vertex is an author (here: an author-identity
-hypothesis carrying a *name*, a set of papers, and the per-occurrence
-*mentions* it owns) and every edge ``(u, v)`` carries the set of papers
+hypothesis carrying a *name* and the per-occurrence *mentions* it owns,
+which are its papers) and every edge ``(u, v)`` carries the set of papers
 ``P_uv`` co-authored by ``u`` and ``v``.
 
 The same structure serves both stages: Stage 1 builds it from η-SCRs (high
@@ -21,16 +21,16 @@ paper** — a real author appears at most once on any co-author list.
 :meth:`CollaborationNetwork.add_mention` enforces it on insertion, and
 :meth:`CollaborationNetwork.merged` re-checks it when components collapse,
 so two same-paper mentions (two homonymous co-authors) can never end up on
-one vertex.  ``papers`` remains the plain paper-id view that the similarity
-profiles consume; for pipeline-built networks it is exactly
-``set(mentions)``.
+one vertex.  The mentions are a vertex's only attribution: ``papers`` is a
+read-only view of the mentioned paper ids (what the similarity profiles
+consume), and edge supports never add to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, KeysView, Mapping, Sequence
 
 from .unionfind import UnionFind
 
@@ -51,7 +51,7 @@ NetworkParts = tuple[
 
 @dataclass(slots=True)
 class Vertex:
-    """An author-identity hypothesis: one name plus its attributed papers.
+    """An author-identity hypothesis: one name plus the mentions it owns.
 
     ``mentions`` maps each attributed paper id to the co-author-list
     position of the occurrence this vertex owns.  At most one position per
@@ -60,8 +60,12 @@ class Vertex:
 
     vid: int
     name: str
-    papers: set[int] = field(default_factory=set)
     mentions: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def papers(self) -> KeysView[int]:
+        """The attributed paper ids: exactly the papers of ``mentions``."""
+        return self.mentions.keys()
 
     def __repr__(self) -> str:  # compact debugging output
         return f"Vertex({self.vid}, {self.name!r}, {sorted(self.papers)})"
@@ -90,7 +94,6 @@ class CollaborationNetwork:
     def add_vertex(
         self,
         name: str,
-        papers: Iterable[int] = (),
         vid: int | None = None,
         mentions: Iterable[MentionKey] = (),
     ) -> int:
@@ -99,8 +102,7 @@ class CollaborationNetwork:
         ``vid`` pins an explicit id (used by ``merged(..., preserve_ids=True)``
         so surviving vertices keep their identity across merge rounds);
         fresh ids stay unique either way.  ``mentions`` seeds the
-        per-occurrence payload — the mentioned paper ids are attributed
-        automatically.
+        per-occurrence payload, and with it the vertex's papers.
         """
         if vid is None:
             vid = self._next_vid
@@ -109,46 +111,23 @@ class CollaborationNetwork:
             if vid in self._vertices:
                 raise ValueError(f"vertex id {vid} already exists")
             self._next_vid = max(self._next_vid, vid + 1)
-        mention_map = self._as_mention_map(vid, mentions)
         self._vertices[vid] = Vertex(
-            vid=vid,
-            name=name,
-            papers=set(papers) | set(mention_map),
-            mentions=mention_map,
+            vid=vid, name=name, mentions=self._as_mention_map(vid, mentions)
         )
         self._by_name.setdefault(name, []).append(vid)
         self._adj[vid] = {}
         return vid
 
-    def add_edge(self, u: int, v: int, papers: Iterable[int]) -> None:
-        """Add (or extend) the edge ``(u, v)`` with ``papers``."""
+    def add_edge(self, u: int, v: int, papers: Collection[int]) -> None:
+        """Add (or extend) the edge ``(u, v)`` with ``papers``.
+
+        Edge supports are collaboration evidence only: they never change
+        which papers the endpoints are attributed (their mentions do).
+        """
         if u == v:
             raise ValueError(f"self-loop on vertex {u}")
-        paper_set = set(papers)
-        self._link(u, v, paper_set)
-        self._vertices[u].papers.update(paper_set)
-        self._vertices[v].papers.update(paper_set)
-
-    def _link(self, u: int, v: int, papers: Iterable[int]) -> None:
-        """The adjacency half of :meth:`add_edge`: add (or extend) the
-        edge's paper set, leaving vertex attribution alone — for builders
-        that set every vertex's exact attribution themselves."""
         self._adj[u].setdefault(v, set()).update(papers)
         self._adj[v].setdefault(u, set()).update(papers)
-
-    def add_papers(self, vid: int, papers: Iterable[int]) -> None:
-        """Attribute extra papers to a vertex (no edge, no mention)."""
-        self._vertices[vid].papers.update(papers)
-
-    def set_papers(self, vid: int, papers: Iterable[int]) -> None:
-        """Overwrite a vertex's paper attribution.
-
-        The SCN builder uses this to make mention assignment unique when a
-        paper's co-author list is covered by SCRs that landed on different
-        vertices of the same name (edge paper sets are left untouched — they
-        remain the collaboration evidence).
-        """
-        self._vertices[vid].papers = set(papers)
 
     # ------------------------------------------------------------------ #
     # mention payloads (per-occurrence identity)
@@ -168,17 +147,13 @@ class CollaborationNetwork:
                 "are distinct authors"
             )
         vertex.mentions[pid] = position
-        vertex.papers.add(pid)
 
     def set_mentions(self, vid: int, mentions: Iterable[MentionKey]) -> None:
-        """Overwrite a vertex's mention payload *and* paper attribution.
+        """Overwrite a vertex's mention payload (and with it its papers).
 
-        The final step of Stage-1 mention assignment: after it, the vertex's
-        attributed papers are exactly the papers of its mentions.
+        The final step of Stage-1 mention assignment.
         """
-        vertex = self._vertices[vid]
-        vertex.mentions = self._as_mention_map(vid, mentions)
-        vertex.papers = set(vertex.mentions)
+        self._vertices[vid].mentions = self._as_mention_map(vid, mentions)
 
     def mentions_of(self, vid: int) -> dict[int, int]:
         """``pid -> position`` of every mention owned by ``vid``."""
@@ -219,7 +194,7 @@ class CollaborationNetwork:
     def name_of(self, vid: int) -> str:
         return self._vertices[vid].name
 
-    def papers_of(self, vid: int) -> set[int]:
+    def papers_of(self, vid: int) -> KeysView[int]:
         return self._vertices[vid].papers
 
     def vertices_of_name(self, name: str) -> list[int]:
@@ -234,10 +209,9 @@ class CollaborationNetwork:
         With ``name`` the search is confined to that name's vertices (the
         name index makes it cheap, and a mention can only ever be owned by
         a vertex of its own name); without it every vertex is scanned.
-        Returns ``None`` when nobody owns the occurrence — possible for
-        hand-built networks without mention payloads, or for a position
-        that never existed.  This is the one query path shared by the
-        incremental duplicate replay
+        Returns ``None`` when nobody owns the occurrence — a position that
+        never existed, or one a hand-built network left unassigned.  This
+        is the one query path shared by the incremental duplicate replay
         (:meth:`~repro.core.streaming.StreamingIngestor.add_papers`
         under ``duplicate_paper_policy="return"``) and the serving layer's
         :class:`~repro.service.FittedView` projection builder.
@@ -368,19 +342,22 @@ class CollaborationNetwork:
         order no insertion replay can reproduce), edge supports never
         leak into vertex paper attributions, and ``next_vid`` is restored
         explicitly — validated against the live ids so a restored network
-        can never re-issue a vertex id that is still in use.
+        can never re-issue a vertex id that is still in use.  A vertex's
+        ``papers`` column is redundant with its mentions and must equal
+        their pids.
         """
         net = cls()
         for vid, name, papers, mentions in vertices:
             if vid in net._vertices:
                 raise ValueError(f"duplicate vertex id {vid} in snapshot")
             mention_map = net._as_mention_map(vid, mentions)
-            net._vertices[vid] = Vertex(
-                vid=vid,
-                name=name,
-                papers=set(papers) | set(mention_map),
-                mentions=mention_map,
-            )
+            stray = set(papers) ^ mention_map.keys()
+            if stray:
+                raise ValueError(
+                    f"vertex {vid}: papers column differs from its mention "
+                    f"pids at {sorted(stray)[:5]}"
+                )
+            net._vertices[vid] = Vertex(vid=vid, name=name, mentions=mention_map)
             net._adj[vid] = {}
         indexed: set[int] = set()
         for name, vids in name_index:
@@ -428,8 +405,8 @@ class CollaborationNetwork:
     ) -> "CollaborationNetwork":
         """A new network with vertices merged according to ``union``.
 
-        Every union-find component becomes one vertex whose papers (and
-        mentions) are the union of the members'; parallel edges accumulate
+        Every union-find component becomes one vertex whose mentions (and
+        so papers) are the union of the members'; parallel edges accumulate
         their paper sets.  Two structural constraints are enforced here
         because the decision stage must never be able to violate them:
 
@@ -462,22 +439,7 @@ class CollaborationNetwork:
                     f"illegal merge across names: {out.name_of(new_vid)!r} "
                     f"vs {vertex.name!r}"
                 )
-        # Parallel edges accumulate their paper sets.  Vertex paper sets
-        # are set once below: edge supports may contain papers whose
-        # *mention* is attributed to a different same-name vertex, so the
-        # exact attribution is the union of the members' attributed papers.
-        for u, nbrs in self._adj.items():
-            nu = new_of[u]
-            for v, papers in nbrs.items():
-                nv = new_of[v]
-                if u < v and nu != nv:
-                    out._link(nu, nv, papers)
-        attribution: dict[int, set[int]] = {}
-        merged_mentions: dict[int, dict[int, int]] = {}
-        for vid, vertex in self._vertices.items():
-            new_vid = new_of[vid]
-            attribution.setdefault(new_vid, set()).update(vertex.papers)
-            target = merged_mentions.setdefault(new_vid, {})
+            target = out._vertices[new_vid].mentions
             for pid, position in vertex.mentions.items():
                 if pid in target and target[pid] != position:
                     raise ValueError(
@@ -487,9 +449,12 @@ class CollaborationNetwork:
                         "same-paper mentions are distinct authors"
                     )
                 target[pid] = position
-        for new_vid, papers in attribution.items():
-            out.set_papers(new_vid, papers)
-            out._vertices[new_vid].mentions = merged_mentions.get(new_vid, {})
+        for u, nbrs in self._adj.items():
+            nu = new_of[u]
+            for v, papers in nbrs.items():
+                nv = new_of[v]
+                if u < v and nu != nv:
+                    out.add_edge(nu, nv, papers)
         return out
 
     # ------------------------------------------------------------------ #
@@ -498,8 +463,8 @@ class CollaborationNetwork:
     def subnetwork(self, vids: Iterable[int]) -> "CollaborationNetwork":
         """The induced subgraph on ``vids``, with vertex ids preserved.
 
-        Vertices are copied with their paper attribution and mention
-        payloads; only edges with *both* endpoints in ``vids`` survive.
+        Vertices are copied with their mention payloads; only edges with
+        *both* endpoints in ``vids`` survive.
         Insertion happens in ascending-vid order, so repeated extractions
         are structurally identical (deterministic name index order).  The
         shard executor uses this twice: to cut a name block (plus its
@@ -514,10 +479,7 @@ class CollaborationNetwork:
         for vid in keep:
             vertex = self._vertices[vid]
             out.add_vertex(
-                vertex.name,
-                papers=vertex.papers,
-                vid=vid,
-                mentions=[(pid, pos) for pid, pos in vertex.mentions.items()],
+                vertex.name, vid=vid, mentions=vertex.mentions.items()
             )
         keep_set = set(keep)
         # Walk only the kept vertices' adjacency (not the global edge
@@ -526,11 +488,7 @@ class CollaborationNetwork:
         for u in keep:
             for v, papers in self._adj[u].items():
                 if u < v and v in keep_set:
-                    out._link(u, v, papers)
-        # The exact attribution of the source vertices (add_vertex also
-        # attributes every mentioned paper).
-        for vid in keep:
-            out.set_papers(vid, self._vertices[vid].papers)
+                    out.add_edge(u, v, papers)
         return out
 
     # ------------------------------------------------------------------ #
@@ -547,19 +505,12 @@ class CollaborationNetwork:
         """Predicted clustering for ``name`` at mention granularity.
 
         Vertex id -> set of ``(pid, position)`` units — the view the
-        positional evaluation protocol consumes.  Falls back to position 0
-        for papers attributed without an explicit mention payload (networks
-        built by hand), so homonym-free graphs behave identically to
-        :meth:`clusters_of_name`.
+        positional evaluation protocol consumes.
         """
-        out: dict[int, set[MentionKey]] = {}
-        for vid in self.vertices_of_name(name):
-            vertex = self._vertices[vid]
-            units = {
-                (pid, vertex.mentions.get(pid, 0)) for pid in vertex.papers
-            }
-            out[vid] = units
-        return out
+        return {
+            vid: set(self._vertices[vid].mentions.items())
+            for vid in self.vertices_of_name(name)
+        }
 
 
 def combine_networks(
@@ -592,7 +543,7 @@ def combine_networks(
         mapping: dict[int, int] = {}
         for old_vid in sorted(vertex.vid for vertex in net):
             vertex = net.vertex(old_vid)
-            mentions = [(pid, pos) for pid, pos in vertex.mentions.items()]
+            mentions = list(vertex.mentions.items())
             new_vid = out.add_vertex(vertex.name, mentions=mentions)
             mapping[old_vid] = new_vid
             for key in mentions:
@@ -606,10 +557,6 @@ def combine_networks(
         for u, nbrs in net._adj.items():
             for v, papers in nbrs.items():
                 if u < v:
-                    out._link(mapping[u], mapping[v], papers)
-        # Exact paper attribution: a support paper's mention may be owned
-        # by a different same-name vertex (cf. merged()).
-        for old_vid, new_vid in mapping.items():
-            out.set_papers(new_vid, net.vertex(old_vid).papers)
+                    out.add_edge(mapping[u], mapping[v], papers)
         mappings.append(mapping)
     return out, mappings

@@ -267,7 +267,7 @@ class SCNBuilder:
         The unit is the positional mention ``(paper, name, position)``.
         Occurrences covered by an SCR edge go to the owning vertex (the one
         whose incident edge support contains the paper; ties resolved toward
-        the vertex with more attributed papers, then the older vertex);
+        the vertex whose edges cover more papers, then the older vertex);
         uncovered occurrences become isolated singleton vertices (Figure 4,
         step v).
 
@@ -278,10 +278,13 @@ class SCNBuilder:
         takes the runner-up SCR vertex, or a fresh singleton when no other
         covering vertex exists.
         """
-        # owner candidates: name -> pid -> [vid]
+        # The papers each SCR vertex's incident edge supports cover, and
+        # the owner candidates: name -> pid -> [vid]
+        covered: dict[int, set[int]] = {}
         owners: dict[str, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
         for vertex in net:
-            for pid in vertex.papers:
+            covered[vertex.vid] = set().union(*net.adjacency(vertex.vid).values())
+            for pid in covered[vertex.vid]:
                 owners[vertex.name][pid].append(vertex.vid)
         # vid -> [(pid, position)]
         assigned: dict[int, list[tuple[int, int]]] = defaultdict(list)
@@ -300,7 +303,7 @@ class SCNBuilder:
                 else:
                     vid = max(
                         candidates,
-                        key=lambda v: (len(net.papers_of(v)), -v),
+                        key=lambda v: (len(covered[v]), -v),
                     )
                 used.add(vid)
                 assigned[vid].append((paper.pid, position))

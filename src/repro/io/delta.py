@@ -309,7 +309,6 @@ def replay_record(snapshot: "Snapshot", record: DeltaRecord) -> None:
                     )
             else:
                 gcn.add_mention(vid, paper.pid, position)
-                gcn.set_mentions(probe, ())
                 gcn.remove_isolated_vertex(probe)
             vids.append(vid)
         for i, u in enumerate(vids):

@@ -654,11 +654,6 @@ def _verify_network(
     for vertex in net:
         max_vid = max(max_vid, vertex.vid)
         for pid, position in vertex.mentions.items():
-            if pid not in vertex.papers:
-                errors.append(
-                    f"{label}: vertex {vertex.vid} mentions paper {pid} "
-                    "without attributing it"
-                )
             if pid not in corpus:
                 errors.append(
                     f"{label}: vertex {vertex.vid} mentions unknown "

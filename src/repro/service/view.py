@@ -177,15 +177,7 @@ class FittedView:
     ) -> "FittedView":
         clusters: dict[str, dict[int, tuple[MentionKey, ...]]] = {}
         for vertex in gcn:
-            # Same unit fallback as mention_clusters_of_name: papers
-            # attributed without an explicit payload (hand-built
-            # networks) count as position 0.
-            units = tuple(
-                sorted(
-                    (pid, vertex.mentions.get(pid, 0))
-                    for pid in vertex.papers
-                )
-            )
+            units = tuple(sorted(vertex.mentions.items()))
             clusters.setdefault(vertex.name, {})[vertex.vid] = units
         return cls(
             clusters,

@@ -116,10 +116,10 @@ class TestParity:
             ]
         )
         net = CollaborationNetwork()
-        a1 = net.add_vertex("A A", papers=(0, 1))
-        a2 = net.add_vertex("A A", papers=(2, 3))
-        b = net.add_vertex("B B", papers=(0, 1))
-        c = net.add_vertex("C C", papers=(2, 3))
+        a1 = net.add_vertex("A A", mentions=((0, 0), (1, 0)))
+        a2 = net.add_vertex("A A", mentions=((2, 0), (3, 0)))
+        b = net.add_vertex("B B", mentions=((0, 1), (1, 1)))
+        c = net.add_vertex("C C", mentions=((2, 1), (3, 1)))
         net.add_edge(a1, b, (0, 1))
         net.add_edge(a2, c, (2, 3))
         computer = SimilarityComputer(net, corpus, embeddings=embeddings)

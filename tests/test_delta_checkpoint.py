@@ -406,6 +406,26 @@ def test_duplicates_are_not_journaled(fitted, tmp_path):
     )
 
 
+def test_nothing_is_journaled_before_the_chain_exists(fitted, tmp_path):
+    # Papers ingested before the first delta checkpoint are inside the
+    # base it writes: an ingestor that never checkpoints journals nothing.
+    ingestor, base = make_ingestor(fitted, tmp_path, "jsonl")
+    ingestor.add_papers(STREAM_PAPERS[:2])
+    assert ingestor._journal == []
+    ingestor.checkpoint()  # the chain's base
+    ingestor.add_papers(STREAM_PAPERS[2:])
+    assert len(ingestor._journal) == 2
+    ingestor.checkpoint()
+    assert ingestor._journal == []
+    restored, info = chained(base)
+    assert info["chain_length"] == 1 and info["n_papers"] == 2
+    assert document_fingerprint(restored.to_document()) == (
+        live_fingerprint(ingestor)
+    )
+    resumed = StreamingIngestor.resume(base)
+    assert live_fingerprint(resumed) == live_fingerprint(ingestor)
+
+
 # --------------------------------------------------------------------- #
 # checkpoint_every_n_papers × writer lock, in delta mode
 # --------------------------------------------------------------------- #

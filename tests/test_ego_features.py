@@ -33,7 +33,7 @@ def _world(names, edges):
     net = CollaborationNetwork()
     papers = []
     for name in names:
-        vid = net.add_vertex(name, papers=(len(papers),))
+        vid = net.add_vertex(name, mentions=((len(papers), 0),))
         papers.append(Paper(len(papers), (name,), f"solo {vid}", "V0", 2000))
     for u, v in edges:
         pid = len(papers)

@@ -119,10 +119,6 @@ class TestCollaborationNetwork:
         assert net.edge_papers(0, 1) == {0}
         assert net.edge_papers(0, 3) == set()
 
-    def test_vertex_papers_accumulate(self):
-        net = triangle_net()
-        assert net.papers_of(2) == {0, 1}
-
     def test_self_loop_rejected(self):
         net = triangle_net()
         with pytest.raises(ValueError):
@@ -154,9 +150,9 @@ class TestCollaborationNetwork:
 
     def test_merged_same_name(self):
         net = CollaborationNetwork()
-        x1 = net.add_vertex("x", papers=(0,))
-        x2 = net.add_vertex("x", papers=(1,))
-        y = net.add_vertex("y", papers=(0, 1))
+        x1 = net.add_vertex("x", mentions=((0, 0),))
+        x2 = net.add_vertex("x", mentions=((1, 0),))
+        y = net.add_vertex("y", mentions=((0, 1), (1, 1)))
         net.add_edge(x1, y, {0})
         net.add_edge(x2, y, {1})
         uf = UnionFind([x1, x2, y])
@@ -182,10 +178,10 @@ class TestCollaborationNetwork:
         """preserve_ids keeps every surviving vertex's id: the contract the
         round-persistent profile caches rely on."""
         net = CollaborationNetwork()
-        x1 = net.add_vertex("x", papers=(0,))
-        x2 = net.add_vertex("x", papers=(1,))
-        y = net.add_vertex("y", papers=(0, 1))
-        z = net.add_vertex("z", papers=(2,))
+        x1 = net.add_vertex("x", mentions=((0, 0),))
+        x2 = net.add_vertex("x", mentions=((1, 0),))
+        y = net.add_vertex("y", mentions=((0, 1), (1, 1)))
+        z = net.add_vertex("z", mentions=((2, 0),))
         net.add_edge(x1, y, {0})
         net.add_edge(x2, y, {1})
         uf = UnionFind([x1, x2, y, z])
@@ -227,15 +223,6 @@ class TestMentionPayloads:
         with pytest.raises(ValueError, match="two mentions of paper"):
             net.add_vertex("b", mentions=((5, 0), (5, 1)))
 
-    def test_set_mentions_resets_attribution(self):
-        net = CollaborationNetwork()
-        v = net.add_vertex("a", papers=(9,))
-        net.set_mentions(v, ((1, 0), (2, 1)))
-        assert net.papers_of(v) == {1, 2}
-        net.set_mentions(v, ())
-        assert net.papers_of(v) == set()
-        assert net.mentions_of(v) == {}
-
     def test_merged_propagates_mentions(self):
         net = CollaborationNetwork()
         x1 = net.add_vertex("x", mentions=((0, 0),))
@@ -256,14 +243,6 @@ class TestMentionPayloads:
         uf.union(t1, t2)
         with pytest.raises(ValueError, match="two mentions of paper"):
             net.merged(uf)
-
-    def test_mention_clusters_fall_back_to_position_zero(self):
-        net = CollaborationNetwork()
-        v = net.add_vertex("a", papers=(4,))  # hand-built: no payload
-        w = net.add_vertex("a", mentions=((7, 1),))
-        clusters = net.mention_clusters_of_name("a")
-        assert clusters[v] == {(4, 0)}
-        assert clusters[w] == {(7, 1)}
 
 
 class TestTriangles:

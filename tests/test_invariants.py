@@ -70,8 +70,8 @@ class TestWLKernelProperties:
 class TestMergeAlgebra:
     def test_merged_with_identity_union_preserves_structure(self):
         net = CollaborationNetwork()
-        a = net.add_vertex("a", papers=(0,))
-        b = net.add_vertex("b", papers=(0,))
+        a = net.add_vertex("a", mentions=((0, 0),))
+        b = net.add_vertex("b", mentions=((0, 1),))
         net.add_edge(a, b, {0})
         out = net.merged(UnionFind([a, b]))
         assert len(out) == 2
@@ -80,9 +80,9 @@ class TestMergeAlgebra:
 
     def test_merged_is_idempotent(self):
         net = CollaborationNetwork()
-        x1 = net.add_vertex("x", papers=(0,))
-        x2 = net.add_vertex("x", papers=(1,))
-        y = net.add_vertex("y", papers=(0, 1))
+        x1 = net.add_vertex("x", mentions=((0, 0),))
+        x2 = net.add_vertex("x", mentions=((1, 0),))
+        y = net.add_vertex("y", mentions=((0, 1), (1, 1)))
         net.add_edge(x1, y, {0})
         net.add_edge(x2, y, {1})
         uf = UnionFind([x1, x2, y])

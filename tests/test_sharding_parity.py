@@ -97,14 +97,15 @@ class TestShardVsGlobalParity:
             base, names
         )
 
-    def test_spawn_pool_fit_matches_global_fit(self, small_corpus, reference):
-        # Pinned start method: workers receive the context pickled through
-        # the pool initializer instead of fork's copy-on-write, and the
-        # model through the shared-memory broadcast — the shipping path a
-        # host application forcing "spawn" would get.
-        sharded = ShardedIUAD(
-            IUADConfig(n_workers=2, mp_start_method="spawn")
-        ).fit(small_corpus)
+    def test_spawn_pool_fit_matches_global_fit(
+        self, small_corpus, reference, monkeypatch
+    ):
+        # Spawn workers receive the context pickled through the pool
+        # initializer instead of fork's copy-on-write, and the model
+        # through the shared-memory broadcast — the shipping path on a
+        # platform without fork.
+        monkeypatch.setattr(sharding, "START_METHOD", "spawn")
+        sharded = ShardedIUAD(IUADConfig(n_workers=2)).fit(small_corpus)
         assert mention_clusterings(sharded, small_corpus.names) == reference
 
     def test_gamma_chunk_size_does_not_change_decisions(
@@ -346,7 +347,8 @@ class TestSchedulerFailurePaths:
         ctx_before = sharding._CTX
         segments_before = _shm_segments()
         monkeypatch.setattr(sharding, "GAMMA_CHUNK_PAIRS", 64)
-        config = IUADConfig(n_workers=2, mp_start_method="fork")
+        monkeypatch.setattr(sharding, "START_METHOD", "fork")
+        config = IUADConfig(n_workers=2)
         with pytest.raises(BrokenProcessPool):
             ShardedIUAD(config).fit(small_corpus)
         assert _shm_segments() - segments_before == set()
@@ -458,8 +460,6 @@ class TestCombineNetworks:
         v = net.add_vertex("y", mentions=((1, 0),))
         # edge carries a support paper attributed to neither mention set
         net.add_edge(u, v, {5})
-        net.set_papers(u, {0})
-        net.set_papers(v, {1})
         combined, (mapping,) = combine_networks([net])
         assert combined.papers_of(mapping[u]) == {0}
         assert combined.papers_of(mapping[v]) == {1}

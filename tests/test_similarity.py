@@ -197,10 +197,10 @@ class TestSimilarityComputer:
             for pid in range(4)
         )
         net = CollaborationNetwork()
-        x = net.add_vertex("X", papers=(0,))
-        w = net.add_vertex("W", papers=(0, 1, 2))
-        u = net.add_vertex("U", papers=(1, 3))
-        v = net.add_vertex("V", papers=(2, 3))
+        x = net.add_vertex("X", mentions=((0, 0),))
+        w = net.add_vertex("W", mentions=((0, 1), (1, 0), (2, 0)))
+        u = net.add_vertex("U", mentions=((1, 1), (3, 0)))
+        v = net.add_vertex("V", mentions=((2, 1), (3, 1)))
         net.add_edge(x, w, (0,))
         net.add_edge(w, u, (1,))
         net.add_edge(w, v, (2,))
@@ -224,12 +224,12 @@ class TestSimilarityComputer:
         vid = net.vertices_of_name("X Y")[0]
         computer.pair_matrix([(vid, vid)])
         before = computer._engine._arrays[vid].n_papers
-        net.add_papers(vid, {999_999})
+        net.add_mention(vid, 999_999, 0)
         computer.invalidate(vid)
         assert not computer.is_cached(vid)
         # A column rebuild would fail on a paper id missing from the
         # corpus: vertices only ever hold corpus papers.
-        net.set_papers(vid, set(p for p in net.papers_of(vid) if p != 999_999))
+        del net.vertex(vid).mentions[999_999]
         computer.invalidate(vid)
         computer.pair_matrix([(vid, vid)])
         assert computer._engine._arrays[vid].n_papers == before

@@ -124,6 +124,23 @@ def test_from_parts_rejects_id_reissue():
         CollaborationNetwork.from_parts(vertices, edges, name_index, 7)
 
 
+@pytest.mark.parametrize("tamper", ["extra", "missing"])
+def test_papers_column_must_match_mentions(fitted, tamper):
+    """A vertex row's papers column is redundant with its mentions: a row
+    where the two disagree is corrupt, and loading it fails naming the
+    vertex instead of attributing the union."""
+    vertices, edges, meta = encode_network(fitted.gcn_)
+    row = vertices[len(vertices) // 2]
+    if tamper == "extra":
+        row["papers"] = row["papers"] + [max(row["papers"]) + 1]
+    else:
+        row["papers"] = row["papers"][1:]
+    with pytest.raises(
+        ValueError, match=rf"vertex {row['vid']}: papers column differs"
+    ):
+        decode_network(vertices, edges, meta)
+
+
 def test_name_index_order_survives_reload():
     """A lost-and-regained name sits at the *end* of the name index; a
     reload must preserve that order, not replay insertion order."""
@@ -219,6 +236,7 @@ def test_config_roundtrip_tolerates_drift():
     # wrote, are ignored; missing keys default
     payload["knob_from_the_future"] = 42
     payload["gamma_chunk_pairs"] = 64
+    payload["mp_start_method"] = "spawn"
     del payload["seed"]
     decoded = decode_config(payload)
     assert decoded.eta == 3 and decoded.seed == IUADConfig().seed
