@@ -584,12 +584,6 @@ class IUAD:
             raise RuntimeError("IUAD is not fitted; call fit() first")
         return self.scn_.mention_clusters_of_name(name)
 
-    def score_pairs(self, pairs: Sequence[Pair]) -> np.ndarray:
-        """Eq. 11 scores of arbitrary GCN vertex pairs."""
-        self._require_fitted()
-        assert self.computer_ is not None and self.model_ is not None
-        return match_scores(self.model_, self.computer_.pair_matrix(pairs))
-
 
 def disambiguate(
     corpus: Corpus,

@@ -27,7 +27,6 @@ of the author entity that produced it.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -665,16 +664,3 @@ def ambiguous_names(corpus: Corpus, min_authors: int = 2) -> list[str]:
         if len(corpus.authors_of_name(name)) >= min_authors:
             out.append(name)
     return out
-
-def math_sanity() -> float:
-    """Tail probability of Eq. 2 — kept here as the calibration touchstone.
-
-    With ``n_a = n_b = 500`` and ``N = 5·10^5`` the probability that two
-    independent names co-occur three or more times is ≈ 2.34·10⁻³; the
-    generator's preferential attachment makes observed pair frequencies
-    exceed this by orders of magnitude, which is the paper's Section IV-A
-    argument for trusting η-SCRs.
-    """
-    mean = var = 0.5
-    z = (3 - 0.5 - mean) / math.sqrt(var)
-    return 0.5 * math.erfc(z / math.sqrt(2.0))

@@ -208,6 +208,14 @@ def run_table4(
 # --------------------------------------------------------------------- #
 # Table V — per-name time vs data scale
 # --------------------------------------------------------------------- #
+#: Table V times each method this many times and keeps the fastest pass,
+#: as ``timeit`` does: one pass of ten names costs milliseconds at small
+#: scales, so alone it would also carry first-call costs and host stalls.
+#: Every pass builds a fresh instance, so no pass reuses a cache an earlier
+#: one filled (Aminer keeps its title embeddings per corpus).
+TABLE5_PASSES = 3
+
+
 def run_table5(
     fractions: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
     n_names: int = 12,
@@ -222,17 +230,26 @@ def run_table5(
         testing = build_testing_dataset(corpus, n_names=n_names)
         names = testing.names
         for label, method in (
-            ("ANON", ANON()),
-            ("NetE", NetE()),
-            ("Aminer", Aminer()),
-            ("GHOST", GHOST()),
+            ("ANON", ANON),
+            ("NetE", NetE),
+            ("Aminer", Aminer),
+            ("GHOST", GHOST),
         ):
-            result = time_per_name(
-                label, method.cluster_name, corpus, names, fraction
+            passes = [
+                time_per_name(
+                    label, method().cluster_name, corpus, names, fraction
+                )
+                for _ in range(TABLE5_PASSES)
+            ]
+            out.setdefault(label, {})[fraction] = min(
+                passes, key=lambda r: r.total_seconds
             )
-            out.setdefault(label, {})[fraction] = result
-        out.setdefault("IUAD", {})[fraction] = time_iuad(
-            lambda: IUAD(IUADConfig()), corpus, names, fraction
+        passes = [
+            time_iuad(lambda: IUAD(IUADConfig()), corpus, names, fraction)
+            for _ in range(TABLE5_PASSES)
+        ]
+        out.setdefault("IUAD", {})[fraction] = min(
+            passes, key=lambda r: r.total_seconds
         )
     return out
 

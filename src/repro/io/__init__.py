@@ -1,4 +1,4 @@
-"""Durable snapshots & warm-start resume: multi-adapter persistence.
+"""Durable snapshots & warm-start resume in two formats, JSONL and SQLite.
 
 Public surface:
 
@@ -14,18 +14,16 @@ Public surface:
 * :func:`~repro.io.snapshot.snapshot_header` — validated machine-readable
   header without a full decode (``tools/snapshot.py inspect --json`` and
   the ``tools/serve.py`` warm-start validation), delta-chain aware;
-* the **adapter registry** (:mod:`repro.io.adapters`) —
-  :func:`~repro.io.adapters.register_adapter` /
-  :func:`~repro.io.adapters.resolve_adapter` /
-  :func:`~repro.io.adapters.list_adapters` over the bundled JSONL and
-  SQLite drivers, and the atomic :func:`~repro.io.adapters.write_document`
+* the **two formats** (:mod:`repro.io.adapters`) — the fixed JSONL and
+  SQLite drivers, :func:`~repro.io.adapters.resolve_adapter` choosing
+  between them, and the atomic :func:`~repro.io.adapters.write_document`
   / :func:`~repro.io.adapters.read_document` entry points;
 * **delta chains** (:mod:`repro.io.delta`) — append-only O(changes)
   checkpoints replayed on top of a base snapshot, with compaction;
 * **point queries** (:mod:`repro.io.query`) —
   :class:`~repro.io.query.SnapshotQuery` answers ``who_is`` /
-  ``owner_of`` straight off the snapshot file (indexed SQL when the
-  adapter supports it) without materialising fitted state;
+  ``owner_of`` straight off the snapshot file (indexed SQL on SQLite, a
+  line scan on JSONL) without materialising fitted state;
 * :data:`~repro.io.schema.SCHEMA_VERSION` — the document version.
 
 See ``docs/architecture.md`` ("Persistence & warm start") for the format,
@@ -33,11 +31,8 @@ the atomicity contract and the delta-chain design.
 """
 
 from .adapters import (
-    ADAPTERS,
-    SnapshotAdapter,
-    list_adapters,
+    ADAPTER_NAMES,
     read_document,
-    register_adapter,
     resolve_adapter,
     write_document,
 )
@@ -53,18 +48,15 @@ from .snapshot import (
 )
 
 __all__ = [
-    "ADAPTERS",
+    "ADAPTER_NAMES",
     "FORMAT_NAME",
     "SCHEMA_VERSION",
     "ShardingState",
     "Snapshot",
-    "SnapshotAdapter",
     "SnapshotQuery",
     "compact_chain",
     "delta_log_path",
-    "list_adapters",
     "read_document",
-    "register_adapter",
     "resolve_adapter",
     "snapshot_header",
     "snapshot_of",

@@ -1,25 +1,29 @@
-"""Persistence adapter registry: one document shape, N drivers.
+"""The two snapshot formats: one document shape, two fixed drivers.
 
-The registry maps adapter names to :class:`~.base.SnapshotAdapter`
-instances.  The bundled drivers — :class:`~.jsonl.JsonlAdapter` and
-:class:`~.sqlite.SqliteAdapter` — register at import time; host
-applications add their own via :func:`register_adapter` and every
-consumer (``Snapshot.save/load``, streaming checkpoints, delta-chain
-bases, ``tools/snapshot.py convert``, the serving warm start) picks them
-up through :func:`resolve_adapter`.
+Every snapshot — full base or delta-compacted — is one backend-neutral
+**document** (see :mod:`repro.io.schema`)::
 
-Resolution order:
+    {"meta": {...}, "sections": {name: payload}, "tables": {name: [rows]}}
 
-1. an explicit adapter name always wins;
-2. for an existing file, each registered adapter's byte ``sniff`` runs
-   against the file's first bytes, in registration order;
-3. otherwise the path suffix selects the adapter claiming it;
-4. the default adapter (JSONL) takes everything else.
+A driver is *how* that document hits disk: :class:`~.jsonl.JsonlAdapter`
+(diffable, one JSON object per line) or :class:`~.sqlite.SqliteAdapter`
+(one file with real, indexed tables).  Each offers ``write``, ``read``
+and ``read_meta``; only SQLite adds an indexed query cursor
+(``open_query``), JSONL a streaming row scan (``iter_table_rows``) —
+:mod:`repro.io.query` uses whichever the format has.  Every consumer
+(``Snapshot.save/load``, streaming checkpoints, delta-chain bases,
+``tools/snapshot.py convert``, the serving warm start) picks the driver
+through :func:`resolve_adapter`:
 
-Atomicity lives here, once, for every adapter: :func:`write_document`
+1. an explicit adapter name always wins (an unknown one raises);
+2. an existing file starting with the SQLite magic bytes is SQLite;
+3. a missing file goes by its path suffix;
+4. JSONL takes everything else.
+
+Atomicity lives here, once, for both drivers: :func:`write_document`
 writes to a ``.tmp`` sibling, fsyncs, then atomically renames over the
 destination (``os.replace``).  A crash mid-write leaves at worst a stale
-``.tmp`` next to an intact previous snapshot; adapters only ever see the
+``.tmp`` next to an intact previous snapshot; drivers only ever see the
 tmp path.
 """
 
@@ -27,51 +31,27 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from types import MappingProxyType
 from typing import Any
 
-from .base import AdapterCursor, SnapshotAdapter
 from .jsonl import JsonlAdapter
-from .sqlite import SqliteAdapter
+from .sqlite import SQLITE_MAGIC, SqliteAdapter
 
-#: How many leading bytes :func:`resolve_adapter` hands to ``sniff``.
-_SNIFF_BYTES = 64
+JSONL = JsonlAdapter()
+SQLITE = SqliteAdapter()
 
-#: name -> adapter instance, in registration order (= sniff order).
-_REGISTRY: dict[str, SnapshotAdapter] = {}
+#: The drivers by name, JSONL (the default) first.
+_BY_NAME: dict[str, JsonlAdapter | SqliteAdapter] = {
+    JSONL.name: JSONL, SQLITE.name: SQLITE,
+}
 
-#: Fallback adapter for unrecognised bytes/suffixes.
-_DEFAULT = JsonlAdapter.name
-
-
-def register_adapter(
-    adapter: SnapshotAdapter, replace: bool = False
-) -> SnapshotAdapter:
-    """Add a driver to the registry (``replace=True`` to override a name).
-
-    Returns the adapter so registration composes as a decorator-ish
-    one-liner: ``ADAPTER = register_adapter(MyAdapter())``.
-    """
-    if not adapter.name:
-        raise ValueError(f"adapter {adapter!r} has no name")
-    if adapter.name in _REGISTRY and not replace:
-        raise ValueError(
-            f"adapter {adapter.name!r} is already registered "
-            "(pass replace=True to override)"
-        )
-    _REGISTRY[adapter.name] = adapter
-    return adapter
-
-
-def list_adapters() -> dict[str, SnapshotAdapter]:
-    """A copy of the registry, in registration order."""
-    return dict(_REGISTRY)
+#: Valid ``--backend`` / ``backend=`` values.
+ADAPTER_NAMES = tuple(_BY_NAME)
 
 
 def resolve_adapter(
     path: str | Path, name: str | None = None
-) -> SnapshotAdapter:
-    """Pick an adapter: explicit name > file sniff > path suffix > default.
+) -> JsonlAdapter | SqliteAdapter:
+    """Pick a driver: explicit name > SQLite magic > path suffix > JSONL.
 
     Reading sniffs the file's first bytes (a SQLite database always
     starts with its 16-byte magic header), so ``load`` works on any
@@ -79,25 +59,18 @@ def resolve_adapter(
     """
     if name is not None:
         try:
-            return _REGISTRY[name]
+            return _BY_NAME[name]
         except KeyError:
             raise ValueError(
                 f"unknown snapshot adapter {name!r}; "
-                f"choose from {sorted(_REGISTRY)}"
+                f"choose from {sorted(_BY_NAME)}"
             ) from None
     path = Path(path)
     if path.exists():
         with open(path, "rb") as fh:
-            prefix = fh.read(_SNIFF_BYTES)
-        for adapter in _REGISTRY.values():
-            if adapter.name != _DEFAULT and adapter.sniff(prefix):
-                return adapter
-        return _REGISTRY[_DEFAULT]
-    suffix = path.suffix.lower()
-    for adapter in _REGISTRY.values():
-        if suffix in adapter.suffixes and adapter.name != _DEFAULT:
-            return adapter
-    return _REGISTRY[_DEFAULT]
+            is_sqlite = fh.read(len(SQLITE_MAGIC)) == SQLITE_MAGIC
+        return SQLITE if is_sqlite else JSONL
+    return SQLITE if path.suffix.lower() in SQLITE.suffixes else JSONL
 
 
 def write_document(
@@ -107,7 +80,7 @@ def write_document(
     path = Path(path)
     # Resolution runs against the *destination*: overwriting an existing
     # snapshot keeps its format (checkpoints never silently flip
-    # adapters), a fresh path goes by explicit choice or suffix.
+    # formats), a fresh path goes by explicit choice or suffix.
     chosen = resolve_adapter(path, adapter)
     tmp = path.with_name(path.name + ".tmp")
     chosen.write(document, tmp)
@@ -149,24 +122,13 @@ def fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-#: The bundled drivers.  JSONL first: it is the default *and* the
-#: fallback, so its permissive sniff never shadows a specific driver
-#: (resolve_adapter skips the default during the sniff pass).
-JSONL = register_adapter(JsonlAdapter())
-SQLITE = register_adapter(SqliteAdapter())
-
-#: Live read-only view of the registry.
-ADAPTERS = MappingProxyType(_REGISTRY)
-
 __all__ = [
-    "ADAPTERS",
-    "AdapterCursor",
+    "ADAPTER_NAMES",
     "JSONL",
+    "JsonlAdapter",
     "SQLITE",
-    "SnapshotAdapter",
-    "list_adapters",
+    "SqliteAdapter",
     "read_document",
-    "register_adapter",
     "resolve_adapter",
     "write_document",
 ]

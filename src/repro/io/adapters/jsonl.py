@@ -13,23 +13,16 @@ import os
 from pathlib import Path
 from typing import Any, Iterator
 
-from .base import SnapshotAdapter
-
 
 def jsonl_line(obj: dict[str, Any]) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
-class JsonlAdapter(SnapshotAdapter):
+class JsonlAdapter:
     """One JSON object per line: ``meta`` first, then sections, then rows."""
 
     name = "jsonl"
     suffixes = (".jsonl", ".json", ".ndjson")
-
-    def sniff(self, prefix: bytes) -> bool:
-        # A snapshot's first line opens the meta object; cheap and honest
-        # (resolution still falls back to this adapter either way).
-        return prefix[:1] in (b"{",)
 
     def write(self, document: dict[str, Any], path: Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -69,7 +62,7 @@ class JsonlAdapter(SnapshotAdapter):
             raise ValueError(f"{path}: no meta line — not a snapshot file")
         return {"meta": meta, "sections": sections, "tables": tables}
 
-    def read_meta(self, path: Path) -> dict[str, Any] | None:
+    def read_meta(self, path: Path) -> dict[str, Any]:
         # The meta object is the first line by construction.
         with open(path, "r", encoding="utf-8") as fh:
             for raw in fh:
@@ -94,15 +87,12 @@ class JsonlAdapter(SnapshotAdapter):
         self, path: Path, table: str
     ) -> Iterator[dict[str, Any]]:
         # Streaming scan: parse line by line, yield only the asked-for
-        # table's rows — the query fallback never holds the document.
-        def rows() -> Iterator[dict[str, Any]]:
-            needle = f'"table":"{table}"'
-            with open(path, "r", encoding="utf-8") as fh:
-                for raw in fh:
-                    if needle not in raw:
-                        continue
-                    obj = json.loads(raw)
-                    if obj.get("table") == table:
-                        yield obj["row"]
-
-        return rows()
+        # table's rows — the query scan never holds the document.
+        needle = f'"table":"{table}"'
+        with open(path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                if needle not in raw:
+                    continue
+                obj = json.loads(raw)
+                if obj.get("table") == table:
+                    yield obj["row"]

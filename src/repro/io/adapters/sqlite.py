@@ -29,8 +29,6 @@ import sqlite3
 from pathlib import Path
 from typing import Any
 
-from .base import AdapterCursor, SnapshotAdapter
-
 #: Magic prefix of every SQLite database file.
 SQLITE_MAGIC = b"SQLite format 3\x00"
 
@@ -41,14 +39,19 @@ _TABLES = ("papers", "gcn_vertices", "gcn_edges", "scn_vertices", "scn_edges",
            "embedding_rows")
 
 
-class SqliteCursor(AdapterCursor):
-    """Indexed who-is queries against an open snapshot database."""
+class SqliteCursor:
+    """Indexed who-is queries against an open snapshot database.
+
+    All queries are about the GCN (the fitted network); one open cursor
+    serves any number of them until :meth:`close`.
+    """
 
     def __init__(self, conn: sqlite3.Connection, indexed: bool) -> None:
         self._conn = conn
         self._indexed = indexed
 
     def owner_of(self, pid: int, position: int) -> tuple[int, str] | None:
+        """``(vid, name)`` owning mention ``(pid, position)``, or ``None``."""
         if self._indexed:
             row = self._conn.execute(
                 "SELECT vid, name FROM mentions "
@@ -66,6 +69,7 @@ class SqliteCursor(AdapterCursor):
         return None
 
     def clusters_of_name(self, name: str) -> dict[int, list[tuple[int, int]]]:
+        """``vid -> [(pid, position), ...]`` for every vertex of ``name``."""
         if self._indexed:
             out: dict[int, list[tuple[int, int]]] = {}
             for vid, pid, position in self._conn.execute(
@@ -91,7 +95,7 @@ class SqliteCursor(AdapterCursor):
         self._conn.close()
 
 
-class SqliteAdapter(SnapshotAdapter):
+class SqliteAdapter:
     """Single-file SQLite database with real tables for the bulk rows."""
 
     name = "sqlite"
@@ -124,9 +128,6 @@ class SqliteAdapter(SnapshotAdapter):
         CREATE INDEX mentions_by_name ON mentions (net, name);
         CREATE INDEX vertices_by_name ON vertices (net, name);
     """
-
-    def sniff(self, prefix: bytes) -> bool:
-        return prefix.startswith(SQLITE_MAGIC)
 
     def write(self, document: dict[str, Any], path: Path) -> None:
         # A leftover (possibly truncated) file at the target confuses

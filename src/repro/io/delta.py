@@ -6,7 +6,7 @@ per checkpoint makes steady-state durability quadratically more
 expensive as the streamed corpus grows.  A **delta chain** keeps the
 cost proportional to what actually changed:
 
-* the **base** is an ordinary full snapshot (any registered adapter),
+* the **base** is an ordinary full snapshot (JSONL or SQLite),
   whose ``meta.delta_seq`` records how many deltas it has folded in;
 * the **log** is an append-only JSONL sibling (``<base>.delta``) of
   :class:`DeltaRecord` lines, each carrying the papers ingested since

@@ -1,19 +1,21 @@
 """Point queries against a snapshot *file* — no fitted state in memory.
 
 ``who_is`` / ``owner_of`` on a live engine walk the in-memory network.
-This module answers the same questions straight off a snapshot on disk:
+This module answers the same questions straight off a snapshot on disk,
+one path per format:
 
-* adapters with an indexed cursor (SQLite's derived ``mentions`` table,
-  see :meth:`repro.io.adapters.sqlite.SqliteAdapter.open_query`) serve a
-  point SELECT — microseconds, independent of corpus size;
-* adapters without one fall back to a streaming row scan of the
-  ``gcn_vertices`` table (JSONL parses line by line; a driver that
-  cannot stream gets one cached full read) — still no network, model or
-  similarity computer is ever materialised;
-* a delta chain riding next to the base (see :mod:`repro.io.delta`) is
-  overlaid: chain records only ever *add* mentions — an existing vertex
-  never changes owner mid-chain — so the overlay is consulted first and
-  merged into name queries.
+* SQLite serves them from its derived, indexed ``mentions`` table (see
+  :meth:`repro.io.adapters.sqlite.SqliteAdapter.open_query`) — a point
+  SELECT, microseconds, independent of corpus size; files written
+  before that table existed get a scan of the vertex payloads instead;
+* JSONL reads its first (meta) line, then scans the ``gcn_vertices``
+  lines one at a time.
+
+Neither path materialises a network, model or similarity computer.  A
+delta chain riding next to the base (see :mod:`repro.io.delta`) is
+overlaid: chain records only ever *add* mentions — an existing vertex
+never changes owner mid-chain — so the overlay is consulted first and
+merged into name queries.
 
 Typical use::
 
@@ -31,10 +33,11 @@ module skips.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from . import delta as delta_chain
-from .adapters import AdapterCursor, resolve_adapter
+from .adapters import SQLITE, resolve_adapter
+from .adapters.sqlite import SqliteCursor
 
 
 class SnapshotQuery:
@@ -51,8 +54,10 @@ class SnapshotQuery:
         if not self.path.exists():
             raise ValueError(f"{self.path}: no such file")
         self.adapter = resolve_adapter(self.path, backend)
-        self._cursor: AdapterCursor | None = self.adapter.open_query(self.path)
-        self._document: dict[str, Any] | None = None
+        # SQLite answers through its cursor, JSONL by a line scan.
+        self._cursor: SqliteCursor | None = (
+            SQLITE.open_query(self.path) if self.adapter is SQLITE else None
+        )
         # (pid, position) -> (vid, name) and name -> vid -> mentions,
         # from the delta chain (additions only — never reassignments).
         self._overlay_owner: dict[tuple[int, int], tuple[int, str]] = {}
@@ -67,8 +72,6 @@ class SnapshotQuery:
         if not log_path.exists():
             return
         meta = self.adapter.read_meta(self.path)
-        if meta is None:
-            meta = self._full_document()["meta"]
         base_seq = int(meta.get("delta_seq", 0))
         # Fingerprint validation needs the full base document — exactly
         # what this fast path avoids; checksums and seq contiguity are
@@ -86,22 +89,6 @@ class SnapshotQuery:
                     ).append((pid, position))
 
     # ------------------------------------------------------------------ #
-    # fallback row access
-    # ------------------------------------------------------------------ #
-    def _full_document(self) -> dict[str, Any]:
-        if self._document is None:
-            self._document = self.adapter.read(self.path)
-        return self._document
-
-    def _vertex_rows(self) -> Iterator[dict[str, Any]]:
-        rows = self.adapter.iter_table_rows(self.path, "gcn_vertices")
-        if rows is not None:
-            return rows
-        return iter(
-            self._full_document().get("tables", {}).get("gcn_vertices", ())
-        )
-
-    # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     def owner_of(self, pid: int, position: int) -> tuple[int, str] | None:
@@ -111,7 +98,7 @@ class SnapshotQuery:
             return hit
         if self._cursor is not None:
             return self._cursor.owner_of(pid, position)
-        for row in self._vertex_rows():
+        for row in self.adapter.iter_table_rows(self.path, "gcn_vertices"):
             for m_pid, m_pos in row.get("mentions", ()):
                 if m_pid == pid and m_pos == position:
                     return int(row["vid"]), row["name"]
@@ -127,7 +114,9 @@ class SnapshotQuery:
             clusters = self._cursor.clusters_of_name(name)
         else:
             clusters = {}
-            for row in self._vertex_rows():
+            for row in self.adapter.iter_table_rows(
+                self.path, "gcn_vertices"
+            ):
                 if row.get("name") == name:
                     clusters[int(row["vid"])] = [
                         (int(pid), int(pos))
@@ -141,9 +130,10 @@ class SnapshotQuery:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
+        # The cursor stays set: a query after close raises sqlite3's
+        # "closed database" error rather than switching to a JSONL scan.
         if self._cursor is not None:
             self._cursor.close()
-            self._cursor = None
 
     def __enter__(self) -> "SnapshotQuery":
         return self

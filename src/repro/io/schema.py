@@ -6,8 +6,8 @@ The persistence layer is split in three:
   fitted objects (:class:`~repro.graphs.collab.CollaborationNetwork`,
   :class:`~repro.model.mixture.MatchMixture`, …) and a **document** of
   plain JSON-ready containers;
-* :mod:`.adapters` — *how* bytes hit disk (JSONL, SQLite or a registered
-  driver), behind one document shape shared by all;
+* :mod:`.adapters` — *how* bytes hit disk (JSONL or SQLite), behind
+  one document shape shared by both;
 * :mod:`.snapshot` — the user-facing :class:`~repro.io.snapshot.Snapshot`
   tying the two together.
 

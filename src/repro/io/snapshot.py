@@ -513,16 +513,15 @@ def snapshot_header(path: str | Path, backend: str | None = None) -> dict:
 
     The returned dict is JSON-ready::
 
-        {"path", "backend", "adapter", "bytes", "format", "version",
-         "kind", "n_papers", "n_vertices", "n_edges", "has_scn",
-         "has_stream", "has_embeddings", "sharding": {...} | None,
+        {"path", "adapter", "bytes", "format", "version", "kind",
+         "n_papers", "n_vertices", "n_edges", "has_scn", "has_stream",
+         "has_embeddings", "sharding": {...} | None,
          "stream": {...} | None, "delta_seq", "delta": {...} | None}
 
-    ``adapter`` is the resolved driver name (``backend`` is kept as an
-    alias for older callers).  ``delta`` summarises the sibling delta
-    chain when one exists — chain length, base fingerprint, seq range —
-    and a damaged chain (torn tail, checksum failure, seq gap) raises
-    here, so ``inspect`` on a broken chain exits non-zero.
+    ``adapter`` is the resolved format's name.  ``delta`` summarises the
+    sibling delta chain when one exists — chain length, base fingerprint,
+    seq range — and a damaged chain (torn tail, checksum failure, seq
+    gap) raises here, so ``inspect`` on a broken chain exits non-zero.
     """
     path = Path(path)
     if not path.exists():
@@ -540,7 +539,6 @@ def snapshot_header(path: str | Path, backend: str | None = None) -> dict:
     )
     header: dict = {
         "path": str(path),
-        "backend": resolved.name,
         "adapter": resolved.name,
         "bytes": path.stat().st_size,
         "format": meta["format"],

@@ -1,11 +1,10 @@
-"""The persistence adapter registry (``repro.io.adapters``).
+"""The two snapshot formats (``repro.io.adapters``).
 
-Pins the pluggable-driver contract: registration (duplicates refused,
-``replace=True`` swaps), the resolution order (explicit name > byte
-sniff > path suffix > jsonl default), lossless conversion across every
-registered adapter pair — including a riding delta-chain log, whose
-base fingerprint is canonical and therefore adapter-independent — and
-the v1 fixture still loading unchanged through the registry.
+Pins the resolution order (explicit name > SQLite magic bytes > path
+suffix > jsonl default), lossless conversion across both formats —
+including a riding delta-chain log, whose base fingerprint is canonical
+and therefore format-independent — and the v1 fixture still loading
+unchanged.
 """
 
 from __future__ import annotations
@@ -13,24 +12,18 @@ from __future__ import annotations
 import copy
 import sys
 from pathlib import Path
-from typing import Any
 
 import pytest
 
 from repro.core import IUAD, IUADConfig, StreamingIngestor
 from repro.io import (
-    ADAPTERS,
     Snapshot,
-    list_adapters,
     read_document,
-    register_adapter,
     resolve_adapter,
     snapshot_of,
     verify_snapshot,
     write_document,
 )
-from repro.io import adapters as adapters_module
-from repro.io.adapters.base import SnapshotAdapter
 from repro.io.delta import document_fingerprint
 
 from test_delta_checkpoint import FIT_PAPERS, STREAM_PAPERS
@@ -61,74 +54,20 @@ def cli():
 
 
 # --------------------------------------------------------------------- #
-# the registry
+# resolution
 # --------------------------------------------------------------------- #
-def test_builtin_adapters_are_registered():
-    names = list(list_adapters())
-    assert names[0] == "jsonl"  # the default — first, and the fallback
-    assert "sqlite" in names
-    with pytest.raises(TypeError):
-        ADAPTERS["rogue"] = object()  # read-only view
-
-
-class ToyAdapter(SnapshotAdapter):
-    """Minimal third-party driver: magic-prefixed single-blob file."""
-
-    name = "toy"
-    suffixes = (".toy",)
-    MAGIC = b"TOY1\n"
-
-    def sniff(self, prefix: bytes) -> bool:
-        return prefix.startswith(self.MAGIC)
-
-    def write(self, document: dict[str, Any], path: Path) -> None:
-        import json
-
-        path.write_bytes(self.MAGIC + json.dumps(document).encode("utf-8"))
-
-    def read(self, path: Path) -> dict[str, Any]:
-        import json
-
-        return json.loads(path.read_bytes()[len(self.MAGIC):])
-
-
-@pytest.fixture()
-def toy_adapter():
-    adapter = ToyAdapter()
-    register_adapter(adapter)
-    yield adapter
-    adapters_module._REGISTRY.pop("toy", None)
-
-
-def test_register_custom_adapter(toy_adapter, fitted, tmp_path):
-    assert "toy" in list_adapters()
-    with pytest.raises(ValueError, match="already registered"):
-        register_adapter(ToyAdapter())
-    register_adapter(ToyAdapter(), replace=True)  # explicit swap is fine
-
-    # a snapshot round-trips through the third-party driver untouched
-    path = tmp_path / "snap.toy"
-    snapshot = snapshot_of(fitted)
-    snapshot.save(path)  # resolved by suffix
-    assert resolve_adapter(path).name == "toy"  # sniffed once written
-    loaded = Snapshot.load(path)
-    assert document_fingerprint(loaded.to_document()) == (
-        document_fingerprint(snapshot.to_document())
-    )
-
-
-def test_resolution_order(toy_adapter, tmp_path):
+def test_resolution_order(fitted, tmp_path):
     jsonl_file = tmp_path / "data.weird"
     jsonl_file.write_text('{"k": 1}\n', encoding="utf-8")
-    toy_file = tmp_path / "mislabelled.jsonl"
-    toy_file.write_bytes(ToyAdapter.MAGIC + b"{}")
+    sqlite_file = tmp_path / "mislabelled.jsonl"
+    snapshot_of(fitted).save(sqlite_file, backend="sqlite")
 
-    # explicit name beats everything
-    assert resolve_adapter(toy_file, "sqlite").name == "sqlite"
-    # a recognisable byte prefix beats the (default) suffix
-    assert resolve_adapter(toy_file).name == "toy"
-    # nothing sniffs → non-default suffix decides…
-    assert resolve_adapter(tmp_path / "missing.toy").name == "toy"
+    # an explicit name beats the file's bytes
+    assert resolve_adapter(sqlite_file, "jsonl").name == "jsonl"
+    # the SQLite magic beats the (jsonl) suffix
+    assert resolve_adapter(sqlite_file).name == "sqlite"
+    assert Snapshot.load(sqlite_file).delta_seq == 0
+    # a missing file goes by its suffix…
     assert resolve_adapter(tmp_path / "missing.sqlite").name == "sqlite"
     # …and everything else falls back to the jsonl default
     assert resolve_adapter(jsonl_file).name == "jsonl"
@@ -145,7 +84,7 @@ def test_v1_fixture_loads_through_the_registry():
 
 
 # --------------------------------------------------------------------- #
-# conversion across adapter pairs
+# conversion across the two formats
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("src_backend", BACKENDS)
 @pytest.mark.parametrize("dst_backend", BACKENDS)
@@ -208,5 +147,8 @@ def test_write_document_rejects_unknown_adapter(fitted, tmp_path):
 def test_cli_list_backends(cli, capsys):
     assert cli.main(["--list-backends"]) == 0
     out = capsys.readouterr().out
-    assert "jsonl" in out and "sqlite" in out
-    assert "indexed-query" in out  # sqlite advertises its capability
+    lines = {line.split()[0]: line for line in out.splitlines()}
+    assert set(lines) == {"jsonl", "sqlite"}
+    assert ".jsonl" in lines["jsonl"] and ".sqlite" in lines["sqlite"]
+    assert "indexed-query" in lines["sqlite"]  # only sqlite has the cursor
+    assert "indexed-query" not in lines["jsonl"]

@@ -657,7 +657,7 @@ class TestSnapshotHeader:
         assert header["kind"] == "sharded"
         assert header["n_papers"] == 9
         assert header["n_vertices"] == 10
-        assert header["backend"] == "jsonl"
+        assert header["adapter"] == "jsonl"
         assert header["sharding"]["n_shards"] == 1
         assert header["stream"]["n_papers"] == 1
         json.dumps(header)  # machine-readable by contract

@@ -57,10 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080,
         help="TCP port (0 = ephemeral; the chosen port is announced)",
     )
-    from repro.io import list_adapters
+    from repro.io import ADAPTER_NAMES
 
     parser.add_argument(
-        "--backend", choices=tuple(list_adapters()), default=None,
+        "--backend", choices=ADAPTER_NAMES, default=None,
         help="force the snapshot adapter (default: sniffed)",
     )
     parser.add_argument(
@@ -131,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     print(
         f"warm-starting from {header['path']} "
-        f"({header['backend']}, schema v{header['version']}, "
+        f"({header['adapter']}, schema v{header['version']}, "
         f"{header['n_papers']} papers, {header['n_vertices']} vertices)",
         flush=True,
     )

@@ -11,7 +11,7 @@ Run from the repo root (or anywhere with ``repro`` importable)::
     python tools/snapshot.py compact  ckpt.jsonl
     python tools/snapshot.py who-is   fitted.sqlite "x y" --pid 3
 
-* ``--list-backends`` — every registered persistence adapter
+* ``--list-backends`` — the two snapshot formats
   (:mod:`repro.io.adapters`), with suffixes and capabilities;
 * ``inspect`` — header, counts, stream counters and the delta chain
   (length, base fingerprint, seq range) without fully materialising the
@@ -19,9 +19,8 @@ Run from the repo root (or anywhere with ``repro`` importable)::
   header (:func:`repro.io.snapshot_header`) for scripting.  Corrupt or
   non-snapshot files — including a torn delta-chain tail — exit 1 with
   a one-line error, never a traceback;
-* ``convert`` — re-write a snapshot through any registered adapter pair
-  (the payload is backend-neutral, so conversion is lossless in every
-  direction).  A delta-chain log riding next to the source is copied
+* ``convert`` — re-write a snapshot in the other format (the payload
+  is backend-neutral, so conversion is lossless in both directions).  A delta-chain log riding next to the source is copied
   alongside: the chain's base fingerprint is computed over the
   *canonical document*, so it survives the adapter change;
 * ``verify`` — fully decode base + delta chain and run the structural
@@ -51,31 +50,29 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.io import (  # noqa: E402 (path setup above)
+    ADAPTER_NAMES,
     Snapshot,
     SnapshotQuery,
     compact_chain,
     delta_log_path,
-    list_adapters,
     read_document,
     resolve_adapter,
     snapshot_header,
     verify_snapshot,
     write_document,
 )
+from repro.io.adapters import JSONL, SQLITE  # noqa: E402
 
 
 def list_backends() -> int:
-    for name, adapter in list_adapters().items():
-        suffixes = ", ".join(adapter.suffixes) or "-"
-        capabilities = []
-        if type(adapter).open_query is not type(adapter).__mro__[1].open_query:
-            capabilities.append("indexed-query")
-        if type(adapter).read_meta is not type(adapter).__mro__[1].read_meta:
-            capabilities.append("cheap-meta")
-        print(
-            f"{name:<10} suffixes: {suffixes:<28} "
-            f"{' '.join(capabilities) if capabilities else ''}".rstrip()
-        )
+    for adapter in (JSONL, SQLITE):
+        # Both formats read their meta without a full decode; only
+        # SQLite has an indexed query cursor.
+        capabilities = "cheap-meta"
+        if hasattr(adapter, "open_query"):
+            capabilities = "indexed-query " + capabilities
+        suffixes = ", ".join(adapter.suffixes)
+        print(f"{adapter.name:<10} suffixes: {suffixes:<28} {capabilities}")
     return 0
 
 
@@ -271,10 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--list-backends", action="store_true",
-        help="list every registered persistence adapter and exit",
+        help="list the snapshot formats and exit",
     )
     sub = parser.add_subparsers(dest="command")
-    adapter_names = tuple(list_adapters())
 
     p_inspect = sub.add_parser("inspect", help="print header and counts")
     p_inspect.add_argument("path")
@@ -288,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     p_convert.add_argument("src")
     p_convert.add_argument("dst")
     p_convert.add_argument(
-        "--backend", choices=adapter_names, default=None,
+        "--backend", choices=ADAPTER_NAMES, default=None,
         help="force the destination adapter (default: by suffix)",
     )
     p_convert.set_defaults(func=cmd_convert)
