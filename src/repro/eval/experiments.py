@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -216,6 +216,10 @@ def run_table4(
 TABLE5_PASSES = 3
 
 
+def _fastest(passes: Iterable[TimingResult]) -> TimingResult:
+    return min(passes, key=lambda result: result.total_seconds)
+
+
 def run_table5(
     fractions: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
     n_names: int = 12,
@@ -235,21 +239,15 @@ def run_table5(
             ("Aminer", Aminer),
             ("GHOST", GHOST),
         ):
-            passes = [
+            out.setdefault(label, {})[fraction] = _fastest(
                 time_per_name(
                     label, method().cluster_name, corpus, names, fraction
                 )
                 for _ in range(TABLE5_PASSES)
-            ]
-            out.setdefault(label, {})[fraction] = min(
-                passes, key=lambda r: r.total_seconds
             )
-        passes = [
+        out.setdefault("IUAD", {})[fraction] = _fastest(
             time_iuad(lambda: IUAD(IUADConfig()), corpus, names, fraction)
             for _ in range(TABLE5_PASSES)
-        ]
-        out.setdefault("IUAD", {})[fraction] = min(
-            passes, key=lambda r: r.total_seconds
         )
     return out
 
