@@ -12,12 +12,14 @@ first.  A fresh process per fit makes the comparison a function of the
 executor alone, reproducible standalone and under the full suite.
 
 Output: one JSON document on stdout — timings, corpus size, the full
-mention clusterings (the parity gate compares them across the two
-driver runs), and, for the sharded mode, the flattened
-``shard_summary`` pipeline counters.
+mention clusterings and a digest of the global collaboration network
+(vertex ids, names, mentions, edges with their papers; the parity gate
+compares both across the two driver runs), and, for the sharded mode,
+the flattened ``shard_summary`` pipeline counters.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -77,6 +79,9 @@ def main(argv=None) -> None:
             )
             for name in corpus.names
         },
+        "gcn_digest": hashlib.sha256(
+            json.dumps(est.gcn_.export_parts()).encode("utf-8")
+        ).hexdigest(),
     }
     if args.mode == "sharded":
         out["shards"] = shard_summary(est.report_)

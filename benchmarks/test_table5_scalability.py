@@ -125,10 +125,11 @@ def test_sharded_fit_speedup(benchmark):
         "sharded", "--workers", str(N_WORKERS), *quick_flag
     )
 
-    # Parity gates the speedup claim: identical mention clusterings.
-    # (Serial-vs-pool parity is pinned separately by
-    # tests/test_sharding_parity.py.)
+    # Parity gates the speedup claim: identical mention clusterings and
+    # one global collaboration network.  (Serial-vs-pool parity is
+    # pinned separately by tests/test_sharding_parity.py.)
     assert sharded["clusterings"] == single["clusterings"]
+    assert sharded["gcn_digest"] == single["gcn_digest"]
 
     stages = {
         "corpus": single["corpus_seconds"],
@@ -147,7 +148,10 @@ def test_sharded_fit_speedup(benchmark):
         cpu_count=CPU_COUNT,
         n_papers=sharded["n_papers"],
         speedup_vs_single=round(speedup, 3),
-        parity="identical mention clusterings (single vs sharded pool)",
+        parity=(
+            "identical mention clusterings and GCN digest "
+            "(single vs sharded pool)"
+        ),
         shards=sharded["shards"],
     )
     assert payload["shards"]["n_shards"] >= 1

@@ -44,8 +44,8 @@ def cannot_link_pairs(net: CollaborationNetwork) -> list[Pair]:
     for name in net.names:
         vids = net.vertices_of_name(name)
         if len(vids) < 2:
-            # A lone vertex has no same-name partner; skipping it keeps a
-            # shard's halo (mostly one-vertex names) off this walk.
+            # A lone vertex has no same-name partner; skipping it keeps
+            # the many one-vertex names off this walk.
             continue
         owners: dict[int, list[int]] = {}
         for vid in vids:

@@ -62,20 +62,19 @@ class IUADConfig:
         seed: Seed for candidate sampling and vertex splitting.
         n_workers: Worker processes of a sharded fit
             (:class:`repro.core.sharding.ShardedIUAD`).  ``>= 1`` runs
-            its pipelined schedule in a ``ProcessPoolExecutor`` of that
-            size; ``0`` runs the same schedule through an in-process
-            executor that completes each task at submission (same
-            partition, same tasks, same merge — no pool, no shared
-            memory).  Ignored by the single-process :meth:`IUAD.fit`.
-        max_shard_size: Work budget of one shard, measured in candidate
-            pairs.  Name blocks (connected components of the co-author
-            name graph) are packed into shards up to this budget;
-            blocks exceeding it are split by name.  ``0`` disables both
-            packing and splitting (one shard per block).  Splitting a
-            block is exact for ``merge_rounds == 1`` (names never
-            influence each other within a round); with more rounds it
-            can miss cross-shard profile updates between rounds — keep
-            blocks whole (``0``) when that matters.
+            its pipelined γ schedule in a ``ProcessPoolExecutor`` of
+            that size; ``0`` runs the same schedule through an
+            in-process executor that completes each task at submission
+            (same tasks, same buffers — no pool, no shared memory).
+            Ignored by the single-process :meth:`IUAD.fit`.
+        max_shard_size: Candidate-pair size of one shard of a sharded
+            fit.  Name blocks (connected components of the co-author
+            name graph) are packed into shards up to this size; blocks
+            exceeding it are split by name.  ``0`` disables both
+            packing and splitting (one shard per block).  Shards only
+            route streaming inserts and group the report counters: they
+            budget no work, and the fitted network does not depend on
+            this value.
         duplicate_paper_policy: What the incremental path does when a
             streamed paper's pid is already in the fitted corpus.
             ``"raise"`` (default) rejects the re-ingest with a

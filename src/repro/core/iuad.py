@@ -44,7 +44,7 @@ from ..model.mixture import EMReport, MatchMixture
 from ..model.scoring import match_scores
 from ..similarity.profile import SimilarityComputer
 from ..text.embeddings import WordEmbeddings, train_title_embeddings
-from .balance import split_prolific_vertices
+from .balance import SplitResult, split_prolific_vertices
 from .candidates import (
     candidate_pairs_of_name,
     cannot_link_pairs,
@@ -56,10 +56,12 @@ Pair = tuple[int, int]
 
 #: Precomputed first-round decision input: the per-name candidate pairs
 #: (in decision-name order) and the Eq. 11 scores of the flattened pair
-#: list.  :func:`run_merge_rounds` accepts this so a sharded fit can score
-#: round one centrally (see :mod:`repro.core.sharding`) while the decision
-#: loop itself stays byte-for-byte the single-process code path.
+#: list.  :func:`run_merge_rounds` accepts this so a sharded fit can feed
+#: round one the scores of its pooled γ (see :mod:`repro.core.sharding`)
+#: while the decision loop itself stays the single-process code path.
 Round1Scores = tuple[list[tuple[str, list[Pair]]], np.ndarray]
+
+_NO_GAMMAS = np.zeros((0, 6), dtype=np.float64)
 
 
 @dataclass(slots=True)
@@ -90,17 +92,16 @@ def run_merge_rounds(
 ) -> MergeRoundsOutcome:
     """Run the Stage-2 score-and-merge rounds of Algorithm 1.
 
-    This is the decision stage shared by :meth:`IUAD.fit` (whole corpus)
-    and the shard workers of :class:`repro.core.sharding.ShardedIUAD`
-    (one name block at a time): candidate pairs of every name in
+    This is the decision stage both :meth:`IUAD.fit` and
+    :class:`repro.core.sharding.ShardedIUAD` run on the whole SCN (through
+    :meth:`IUAD._build_gcn`): candidate pairs of every name in
     ``names`` are scored with the Eq. 11 matching score, pairs clearing
     the round's δ are merged transitively under the cannot-link
     constraints, and the network is re-materialised between rounds with
     preserved vertex ids so ``computer``'s column cache survives.
 
     Args:
-        network: The network to consolidate (an SCN, or a shard of one).
-            Never mutated.
+        network: The network to consolidate (the SCN).  Never mutated.
         names: Decision names, in order.  Only their candidate pairs are
             scored; other vertices pass through untouched.
         model: The fitted matched/unmatched mixture.
@@ -204,8 +205,8 @@ class FitReport:
 
     ``decision_seconds`` is the scoring-and-decision total Table V
     reports: every merge round's candidate collection, γ scoring and
-    decision loop.  A sharded fit sums its γ chunks' compute and its
-    shards' decision loops.
+    decision loop.  A sharded fit adds its γ chunks' compute and the one
+    call that scores them to its merge rounds.
 
     ``gcn_mentions`` counts author occurrences attributed across the final
     network (per-occurrence mention model): it equals the corpus's
@@ -213,28 +214,26 @@ class FitReport:
     mention.
 
     Sharded fits (:class:`repro.core.sharding.ShardedIUAD`) additionally
-    fill the shard counters: ``n_shards`` name blocks were fitted
-    (``shard_stats`` holds one :class:`repro.core.sharding.ShardStats`
-    each), ``n_fastpath_vertices`` vertices took the singleton fast path
-    (no same-name candidate, hence no Stage-2 work), and
-    ``partition_seconds`` / ``stitch_seconds`` time the orchestration
-    around the parallel region.  Single-process fits leave them at their
-    zero defaults.
+    fill the shard counters: the name blocks were grouped into
+    ``n_shards`` shards (``shard_stats`` holds one
+    :class:`repro.core.sharding.ShardStats` each),
+    ``n_fastpath_vertices`` vertices have no same-name candidate (hence
+    no Stage-2 work), and ``partition_seconds`` times the partition.
+    Single-process fits leave them at their zero defaults.
 
-    The pipeline block describes the sharded executor's overlapped
-    schedule: ``pipeline_seconds`` spans first task submission to last
-    decision result; ``gamma_wall_seconds`` / ``split_wall_seconds`` /
-    ``decide_wall_seconds`` are parent-observed phase walls, each from
-    the first submission of its kind of task to the completion of the
-    last one (on a pool they overlap each other and ``em_seconds`` —
-    that is the point; with ``n_workers=0`` they tile the pipeline);
-    ``overlap_seconds`` is the wall-clock saved versus running
-    γ → EM → decisions as sequential barriers, with
-    ``overlap_gamma_chunks`` counting the γ chunks that completed under
-    the EM midsection or later.  ``*_task_seconds`` are worker-summed
-    compute, ``ipc_task_bytes`` the pickled bytes of every submitted
-    task (pool runs only) and ``shm_bytes`` the shared-memory result
-    transport replacing what used to round-trip through pickle.
+    The pipeline block describes the sharded executor's overlapped γ
+    schedule: ``pipeline_seconds`` spans first task submission to the
+    last γ chunk; ``gamma_wall_seconds`` / ``split_wall_seconds`` are
+    parent-observed phase walls, each from the first submission of its
+    kind of task to the completion of the last one (on a pool they
+    overlap each other and ``em_seconds`` — that is the point; with
+    ``n_workers=0`` they tile the pipeline); ``overlap_seconds`` is the
+    wall-clock saved versus running split scoring, γ and EM as
+    sequential barriers, with ``overlap_gamma_chunks`` counting the γ
+    chunks that completed under EM or later.  ``*_task_seconds`` are
+    worker-summed compute, ``ipc_task_bytes`` the pickled bytes of every
+    submitted task (pool runs only) and ``shm_bytes`` the shared-memory
+    result transport replacing what used to round-trip through pickle.
     """
 
     scn: SCNBuildReport
@@ -254,17 +253,14 @@ class FitReport:
     n_shards: int = 0
     n_fastpath_vertices: int = 0
     partition_seconds: float = 0.0
-    stitch_seconds: float = 0.0
     shard_stats: list = field(default_factory=list)
     em_seconds: float = 0.0
     pipeline_seconds: float = 0.0
     gamma_wall_seconds: float = 0.0
     split_wall_seconds: float = 0.0
-    decide_wall_seconds: float = 0.0
     overlap_seconds: float = 0.0
     gamma_task_seconds: float = 0.0
     split_task_seconds: float = 0.0
-    decide_task_seconds: float = 0.0
     n_gamma_chunks: int = 0
     overlap_gamma_chunks: int = 0
     ipc_task_bytes: int = 0
@@ -324,19 +320,14 @@ class IUAD:
             wl_iterations=cfg.wl_iterations,
             decay_alpha=cfg.decay_alpha,
         )
-        model, em_report, n_train, n_split = self._learn_model(
+        training_gammas, split_gammas = self._score_training(
             scn, corpus, computer
         )
+        model, em_report = self._learn_model(training_gammas, split_gammas)
 
         decision_names = list(corpus.names if names is None else names)
-        # One SimilarityComputer serves every merge round: the merged
-        # network is built with preserve_ids=True, so only vertices whose
-        # neighbourhood a merge (or a recovered relation) actually changed
-        # lose their cached columns (see SimilarityComputer.rebind).
-        outcome = run_merge_rounds(scn, decision_names, model, computer, cfg)
+        outcome = self._build_gcn(scn, corpus, decision_names, model, computer)
         gcn = outcome.network
-        touched = self._recover_relations(gcn, corpus)
-        computer.rebind(gcn, touched=touched)
         stage2 = time.perf_counter() - t1
 
         self.corpus_ = corpus
@@ -344,7 +335,65 @@ class IUAD:
         self.gcn_ = gcn
         self.model_ = model
         self.computer_ = computer
-        self.report_ = FitReport(
+        self.report_ = self._fit_report(
+            scn_report,
+            em_report,
+            len(training_gammas),
+            len(split_gammas),
+            outcome,
+            stage1,
+            stage2,
+        )
+        return self
+
+    def _build_gcn(
+        self,
+        scn: CollaborationNetwork,
+        corpus: Corpus,
+        names: Sequence[str],
+        model: MatchMixture,
+        computer: SimilarityComputer,
+        round1: Round1Scores | None = None,
+    ) -> MergeRoundsOutcome:
+        """Algorithm 1's decision on the whole SCN (lines 10–16).
+
+        The merge rounds, then the recovery of the non-stable relations;
+        ``computer`` (bound to ``scn``) ends bound to the returned
+        ``outcome.network``, the GCN.  Both :meth:`fit` and the sharded
+        fit decide through here; the sharded one passes its pooled
+        first-round scores as ``round1``.
+        """
+        # One SimilarityComputer serves every merge round: the merged
+        # network is built with preserve_ids=True, so only vertices whose
+        # neighbourhood a merge (or a recovered relation) actually changed
+        # lose their cached columns (see SimilarityComputer.rebind).
+        outcome = run_merge_rounds(
+            scn, names, model, computer, self.config, round1=round1
+        )
+        touched = self._recover_relations(outcome.network, corpus)
+        computer.rebind(outcome.network, touched=touched)
+        return outcome
+
+    @staticmethod
+    def _fit_report(
+        scn_report: SCNBuildReport,
+        em_report: EMReport,
+        n_train: int,
+        n_split: int,
+        outcome: MergeRoundsOutcome,
+        stage1: float,
+        stage2: float,
+        scoring_seconds: float = 0.0,
+        **sharded,
+    ) -> FitReport:
+        """The :class:`FitReport` of a fit whose decision gave ``outcome``.
+
+        ``scoring_seconds`` is round-one scoring done outside the merge
+        rounds (a sharded fit's pooled γ); ``sharded`` fills the shard
+        and pipeline counters.
+        """
+        gcn = outcome.network
+        return FitReport(
             scn=scn_report,
             em=em_report,
             n_candidate_pairs=(
@@ -360,11 +409,11 @@ class IUAD:
             gcn_edges=gcn.n_edges,
             stage1_seconds=stage1,
             stage2_seconds=stage2,
-            decision_seconds=outcome.decision_seconds,
+            decision_seconds=outcome.decision_seconds + scoring_seconds,
             per_round_candidate_pairs=outcome.per_round_candidate_pairs,
             per_round_merges=outcome.per_round_merges,
+            **sharded,
         )
-        return self
 
     # ------------------------------------------------------------------ #
     def _build_scn(
@@ -390,85 +439,77 @@ class IUAD:
             # Corpus too small to train on; γ3 falls back to multiset cosine.
             return None
 
-    def _learn_model(
+    def _score_training(
         self,
         scn: CollaborationNetwork,
         corpus: Corpus,
-        computer: SimilarityComputer | None,
-        precomputed: tuple[list[Pair], np.ndarray] | None = None,
-        precomputed_split: tuple[list[Pair], np.ndarray] | None = None,
-    ) -> tuple[MatchMixture, EMReport, int, int]:
-        """Train the mixture on sampled candidates + split-balance pairs.
+        computer: SimilarityComputer,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """γ of the sampled candidate pairs, then of the split-balance pairs.
 
-        ``precomputed`` short-circuits the candidate γ computation with an
-        already-scored ``(training_pairs, gamma_matrix)`` — the sharded
-        orchestrator computes every candidate γ in parallel name-block
-        workers and slices the training sample out of those results, so
-        the serial section of a sharded fit never re-scores pairs
-        (``computer`` may then be ``None``).  ``precomputed_split``
-        likewise injects already-scored split-balance pairs (the sharded
-        orchestrator scores them in pool workers too — on dense networks
-        the split vertices' WL profiles are the single most expensive
-        serial item).
+        The candidate list and the split network die with this call, so
+        they do not stay alive through the merge rounds.
         """
         cfg = self.config
-        if precomputed is None:
-            assert computer is not None
-            all_pairs: list[Pair] = []
-            for name in scn.names:
-                all_pairs.extend(candidate_pairs_of_name(scn, name))
-            training = sample_training_pairs(
-                all_pairs, cfg.sample_rate, cfg.min_training_pairs, cfg.seed
-            )
-            gammas = [computer.pair_matrix(training)] if training else []
-        else:
-            training, training_gammas = precomputed
-            gammas = [training_gammas] if training else []
-        seeds: list[np.ndarray] = []
-        n_split = 0
-        if cfg.balance_split:
-            if precomputed_split is not None:
-                split_pairs, split_gammas = precomputed_split
-                if split_pairs:
-                    gammas.append(split_gammas)
-                    n_split = len(split_pairs)
-            else:
-                split = split_prolific_vertices(
-                    scn,
-                    min_papers=cfg.split_min_papers,
-                    max_vertices=cfg.max_split_vertices,
-                    seed=cfg.seed,
-                )
-                if split.matched_pairs:
-                    split_computer = SimilarityComputer(
-                        split.network,
-                        corpus,
-                        embeddings=self.embeddings_,
-                        wl_iterations=cfg.wl_iterations,
-                        decay_alpha=cfg.decay_alpha,
-                    )
-                    gammas.append(
-                        split_computer.pair_matrix(split.matched_pairs)
-                    )
-                    n_split = len(split.matched_pairs)
-        if not gammas:
+        all_pairs: list[Pair] = []
+        for name in scn.names:
+            all_pairs.extend(candidate_pairs_of_name(scn, name))
+        training = sample_training_pairs(
+            all_pairs, cfg.sample_rate, cfg.min_training_pairs, cfg.seed
+        )
+        training_gammas = (
+            computer.pair_matrix(training) if training else _NO_GAMMAS
+        )
+        split = self._split_balance(scn)
+        if split is None or not split.matched_pairs:
+            return training_gammas, _NO_GAMMAS
+        split_computer = SimilarityComputer(
+            split.network,
+            corpus,
+            embeddings=self.embeddings_,
+            wl_iterations=cfg.wl_iterations,
+            decay_alpha=cfg.decay_alpha,
+        )
+        return training_gammas, split_computer.pair_matrix(split.matched_pairs)
+
+    def _split_balance(self, scn: CollaborationNetwork) -> SplitResult | None:
+        """Section V-F2's split network and matched pairs (``None``: off)."""
+        cfg = self.config
+        if not cfg.balance_split:
+            return None
+        return split_prolific_vertices(
+            scn,
+            min_papers=cfg.split_min_papers,
+            max_vertices=cfg.max_split_vertices,
+            seed=cfg.seed,
+        )
+
+    def _learn_model(
+        self, training_gammas: np.ndarray, split_gammas: np.ndarray
+    ) -> tuple[MatchMixture, EMReport]:
+        """Fit the mixture on sampled candidates + split-balance pairs.
+
+        ``training_gammas`` are the γ rows of the sampled candidate pairs
+        (EM seeds them as likely unmatched), ``split_gammas`` those of the
+        split-balance matched pairs (seeded as likely matched).
+        """
+        cfg = self.config
+        n_train, n_split = len(training_gammas), len(split_gammas)
+        if not n_train + n_split:
             raise ValueError(
                 "no candidate pairs to train on — every name has a single "
                 "vertex (is the corpus trivially unambiguous?)"
             )
-        stacked = np.vstack(gammas)
-        if training:
-            seeds.append(np.full(len(training), 0.1))
-        if n_split:
-            seeds.append(np.full(n_split, 0.95))
         model = MatchMixture(cfg.families)
         em_report = model.fit(
-            stacked,
+            np.vstack([training_gammas, split_gammas]),
             max_iterations=cfg.em_max_iterations,
             tolerance=cfg.em_tolerance,
-            initial_responsibilities=np.concatenate(seeds),
+            initial_responsibilities=np.concatenate(
+                [np.full(n_train, 0.1), np.full(n_split, 0.95)]
+            ),
         )
-        return model, em_report, len(training), n_split
+        return model, em_report
 
     @staticmethod
     def _recover_relations(

@@ -1,14 +1,12 @@
-"""Sharded name-block execution: partition, parallel fit, global merge.
+"""Sharded execution: name-block partition, pooled γ, one global decision.
 
-The bottom-up design of the paper makes Stage 2 embarrassingly
-partitionable: every merge decision concerns two same-name vertices, and
-candidate enumeration, γ scoring and the merge itself never cross name
-boundaries.  Partitioning the corpus by *name blocks* — connected
-components of the co-author name graph — therefore cuts the expensive
-similarity work into independent shards that can be fitted in parallel
-and stitched back into one global collaboration network.  This is the
-"sharding" leg of the ROADMAP's production-scale north star and the
-foundation for multi-machine scale-out.
+The bottom-up design of the paper makes Stage 2's expensive part — γ
+scoring of same-name candidate pairs — embarrassingly parallel: every
+candidate concerns two same-name vertices, and profiles are read off
+one fixed SCN.  :class:`ShardedIUAD` farms that scoring out to a process
+pool and then decides on the whole SCN exactly as
+:meth:`~repro.core.iuad.IUAD.fit` does.  This is the "sharding" leg of
+the ROADMAP's production-scale north star.
 
 Execution plan of :class:`ShardedIUAD.fit`.  One scheduler drives it:
 ``config.n_workers >= 1`` submits the tasks to a process pool,
@@ -18,23 +16,20 @@ simply follow one another):
 
 1. **Global Stage 1 + text models** (serial): the SCN, the title
    embeddings and the corpus frequency tables are built exactly as in the
-   single-process :meth:`~repro.core.iuad.IUAD.fit` — they are cheap
-   relative to pair scoring and keep the learned model bit-compatible.
+   single-process fit.
 2. **Partition** (:func:`plan_shards`): pair-bearing names are grouped
-   into blocks (connected components over shared papers), blocks are
-   packed into shards up to ``config.max_shard_size`` candidate pairs,
-   oversized blocks are split by name, and every vertex of a name with no
-   same-name candidate takes the **singleton fast path** straight into
-   the final network — no Stage-2 work at all.
-3. **Phase A — parallel γ computation**: workers receive the SCN, the
-   corpus and the global frequency tables *once per process* (pool
-   initializer, see :class:`_WorkerContext`).  The candidate pairs of
-   every pair-bearing name are laid out in one global
-   ``(n_pairs, 6)`` result buffer in canonical ``scn.names`` order and
-   chunked by **candidate-pair count** (:data:`GAMMA_CHUNK_PAIRS`,
-   independent of both shard and worker count, so a fat shard never
-   serialises the phase and in-process/pool runs fill byte-identical
-   buffers); each pool worker writes its chunk's rows straight into a
+   into blocks (connected components over shared papers) and the blocks
+   into shards.  Shards route streaming inserts
+   (:class:`ShardIndex`) and carry the per-shard report counters; no
+   work is cut along them.
+3. **Parallel γ computation**: workers receive the SCN, the corpus and
+   the global frequency tables *once per process* (pool initializer, see
+   :class:`_WorkerContext`).  The candidate pairs of every pair-bearing
+   name are laid out in one global ``(n_pairs, 6)`` result buffer in
+   canonical ``scn.names`` order and chunked by **candidate-pair count**
+   (:data:`GAMMA_CHUNK_PAIRS`, independent of both shard and worker
+   count, so in-process and pool runs fill byte-identical buffers); each
+   pool worker writes its chunk's rows straight into a
    :mod:`multiprocessing.shared_memory` block instead of pickling γ
    matrices back.  Split-balance matched pairs (the densest per-vertex
    work of model learning) are scored by the pool too, in small chunks
@@ -42,56 +37,32 @@ simply follow one another):
    :func:`_score_split_chunk`.
 4. **Global model** (serial, *overlapped*): the training sample is drawn
    from the global candidate order (identical to the single-process
-   sample) and its γ rows are sliced from the shared buffer.  The EM
-   midsection starts as soon as the sampled rows and split scores are in
-   hand — γ chunks that carry no sampled row keep computing in the pool
-   *while* the mixture trains, so the midsection is no longer a barrier.
-5. **Phase B — parallel decisions, pipelined**: the fitted model is
-   broadcast once through a shared-memory blob (workers deserialise and
-   cache it process-locally); each shard's decision task is dispatched
-   the moment its γ rows are complete — shards whose chunks finished
-   before the model simply go first.  (In-process runs hand the tasks
-   the live model and plain arrays; nothing else changes.)  Tasks carry
-   only name lists, vid tuples and ``(offset, count)`` row spans; the
-   worker re-reads its γ rows from shared memory, scores them against
-   the cached model, cuts its block out of its process-local SCN, runs
-   the shared :func:`~repro.core.iuad.run_merge_rounds` decision loop,
-   merges its components under the cannot-link constraints and ships
-   back its fitted block network.  Only when ``merge_rounds > 1`` do
-   later rounds re-score on that sub-network, so only then does the cut
-   also keep a profile halo of radius ``max(1, wl_iterations)`` around
-   the block, dropped again before shipping.
-6. **Merge** (serial, deterministic): per-shard networks and the
-   fast-path vertices are stitched by
-   :func:`repro.graphs.collab.combine_networks` — stable remapped vertex
-   ids, preserved ``pid -> position`` mention payloads, a global
-   uniqueness check on mention ownership — then the non-stable
-   collaborative relations are recovered globally and the cannot-link
-   constraints are re-derived on the stitched network.
+   sample) and its γ rows are sliced from the shared buffer.  EM starts
+   as soon as the sampled rows and split scores are in hand — γ chunks
+   that carry no sampled row keep computing in the pool *while* the
+   mixture trains.
+5. **Decision** (serial): once every chunk is in, the whole γ buffer is
+   scored with Eq. 11 in one ``match_scores`` call, and the decision
+   runs on the whole SCN through :meth:`~repro.core.iuad.IUAD._build_gcn`
+   — the merge rounds (round one fed the per-name slices of those
+   scores, later rounds re-scoring through the fit's similarity
+   computer), relation recovery and the computer's rebind — the very
+   code path of the single-process fit.
 
-Results are keyed by chunk/shard index and assembled in plan order, so
-pool scheduling never changes an outcome, only the timeline.  The
-per-phase walls, the overlap they bought, and the IPC/shared-memory
-byte counts are recorded on the :class:`~repro.core.iuad.FitReport`
+Results are keyed by chunk index and assembled in plan order, so pool
+scheduling never changes an outcome, only the timeline.  The per-phase
+walls, the overlap they bought, and the IPC/shared-memory byte counts
+are recorded on the :class:`~repro.core.iuad.FitReport`
 (``pipeline_seconds``, ``overlap_seconds``, ``ipc_task_bytes``, …) and
 flattened into benchmark records by
-:func:`repro.eval.timing.shard_summary` — a transport regression shows
-up in the committed record, not in a reviewer's profiler.
+:func:`repro.eval.timing.shard_summary`.
 
-Exactness: with ``merge_rounds == 1`` (the paper's Algorithm 1) the
-sharded fit produces mention clusterings *identical* to the whole-corpus
-fit — names cannot influence each other within a round, and profiles are
-computed on the full network (``tests/test_sharding_parity.py`` pins
-this, in-process and under a process pool; column construction iterates
-papers in canonical order so results survive the pickling of networks,
-see ``SimilarityComputer._paper_slots``).  With more rounds, exactness
-additionally requires blocks to stay whole (``max_shard_size = 0``):
-splitting a block can miss cross-shard profile updates between rounds.
-
-Edge-paper caveat: a stable SCN edge between two blocks is re-established
-by relation recovery, whose paper annotation derives from mention
-ownership rather than SCR support; scoring never reads edge paper sets,
-so clusterings are unaffected.
+Exactness: the sharded fit's GCN equals the single-process fit's —
+vertex ids, mentions, and edges with their papers — for any shard
+budget and any number of merge rounds (``tests/test_sharding_parity.py``
+pins this, in-process and under a process pool; column construction
+iterates papers in canonical order so γ survives the pickling of
+networks, see ``SimilarityComputer._paper_slots``).
 """
 
 from __future__ import annotations
@@ -111,17 +82,16 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ..data.records import Corpus
-from ..graphs.collab import CollaborationNetwork, combine_networks
+from ..graphs.collab import CollaborationNetwork
 from ..graphs.unionfind import UnionFind
-from ..model.mixture import MatchMixture
+from ..model.mixture import EMReport, MatchMixture
 from ..model.scoring import match_scores
 from ..similarity.profile import SimilarityComputer
 from ..text.embeddings import WordEmbeddings
 from ..text.tokenize import corpus_word_frequencies
-from .balance import split_prolific_vertices
 from .candidates import candidate_pairs_of_name, cannot_link_pairs, sample_training_pairs
 from .config import IUADConfig
-from .iuad import IUAD, FitReport, run_merge_rounds
+from .iuad import IUAD
 
 Pair = tuple[int, int]
 
@@ -136,30 +106,23 @@ class ShardStats:
     index: int
     n_names: int
     n_vertices: int
-    n_halo: int
     n_papers: int
     n_candidate_pairs: int
-    n_decision_pairs: int = 0
-    n_merges: int = 0
     gamma_seconds: float = 0.0
-    decide_seconds: float = 0.0
 
 
 @dataclass(slots=True)
 class Shard:
-    """One unit of parallel work: a set of whole (or split) name blocks.
+    """One routing and report unit: a set of whole (or split) name blocks.
 
     ``names`` are the shard's pair-bearing names in global ``scn.names``
     order; ``owned_vids`` are *all* their vertices (a name is never split
-    across shards); ``halo_vids`` are the extra profile-context vertices
-    within radius of the owned set (none for a one-round fit); ``pids``
-    are the papers of the owned vertices.
+    across shards); ``pids`` are the papers of the owned vertices.
     """
 
     index: int
     names: tuple[str, ...]
     owned_vids: tuple[int, ...]
-    halo_vids: tuple[int, ...]
     pids: tuple[int, ...]
     n_candidate_pairs: int
 
@@ -261,28 +224,21 @@ def plan_shards(
     scn: CollaborationNetwork,
     corpus: Corpus,
     max_shard_size: int = 4000,
-    halo_radius: int = 2,
 ) -> ShardPlan:
-    """Partition the corpus into independent name-block shards.
+    """Partition the corpus into name-block shards.
 
     Blocks are connected components of the co-author name graph (two
     names are linked when they appear on one paper), restricted to
     *pair-bearing* names — names with at least two SCN vertices, i.e.
-    names with Stage-2 work.  Vertices of all other names take the
-    singleton fast path (``fastpath_vids``) straight into the merged
-    network.
+    names with Stage-2 work.  Vertices of all other names are listed in
+    ``fastpath_vids`` (no same-name candidate, hence no Stage-2 work).
 
-    ``max_shard_size`` is a per-shard candidate-pair budget: small blocks
-    are packed together (first-fit decreasing, deterministic) and a block
-    exceeding the budget on its own is split into name chunks.  ``0``
-    disables both and yields one shard per block.
-
-    ``halo_radius`` controls the profile context around a block that the
-    Phase-B sub-network keeps: every vertex within that many hops of an
-    owned vertex.  Only re-scoring rounds (``merge_rounds > 1``) read
-    profiles off that sub-network, so :meth:`ShardedIUAD.fit` passes
-    ``max(1, config.wl_iterations)`` for them and ``0`` (no halo)
-    otherwise.
+    ``max_shard_size`` groups blocks by candidate-pair count: small
+    blocks are packed together (first-fit decreasing, deterministic) and
+    a block exceeding the budget on its own is split into name chunks.
+    ``0`` disables both and yields one shard per block.  The shards only
+    route streaming inserts and group the report counters; they budget
+    no work.
     """
     t0 = time.perf_counter()
     # Name components over shared papers.
@@ -309,7 +265,7 @@ def plan_shards(
             block_order.append(root)
         block_names[root].append(name)
 
-    # Split oversized blocks by name (exact for merge_rounds == 1).
+    # Split oversized blocks by name.
     chunks: list[list[str]] = []
     for root in block_order:
         names = block_names[root]
@@ -350,7 +306,7 @@ def plan_shards(
     else:
         groups = chunks
 
-    # Materialise shards: owned vertices, profile halo, papers.
+    # Materialise shards: owned vertices and their papers.
     name_order = {name: i for i, name in enumerate(scn.names)}
     owned_anywhere: set[int] = set()
     shards: list[Shard] = []
@@ -363,16 +319,6 @@ def plan_shards(
             name_to_shard[name] = index
         owned_set = set(owned)
         owned_anywhere.update(owned_set)
-        halo: set[int] = set()
-        frontier = list(owned_set)
-        for _ in range(halo_radius):
-            next_frontier: list[int] = []
-            for vid in frontier:
-                for nbr in scn.neighbors(vid):
-                    if nbr not in owned_set and nbr not in halo:
-                        halo.add(nbr)
-                        next_frontier.append(nbr)
-            frontier = next_frontier
         pids: set[int] = set()
         for vid in owned_set:
             pids.update(scn.papers_of(vid))
@@ -381,7 +327,6 @@ def plan_shards(
                 index=index,
                 names=tuple(group),
                 owned_vids=tuple(sorted(owned_set)),
-                halo_vids=tuple(sorted(halo)),
                 pids=tuple(sorted(pids)),
                 n_candidate_pairs=sum(pair_counts[n] for n in group),
             )
@@ -438,29 +383,10 @@ class _ArrayRef:
     array: np.ndarray | None = None
 
 
-@dataclass(slots=True)
-class _ModelRef:
-    """Broadcast handle of the fitted mixture for Phase-B workers.
-
-    Pool runs pickle the model *once* into a shared-memory blob; every
-    worker deserialises it on first use and caches it process-locally
-    (:data:`_MODEL_CACHE`), so each decision task carries a tiny segment
-    name instead of its own model copy.  In-process runs
-    (``n_workers == 0``) carry the live object in ``model``.
-    """
-
-    shm_name: str | None = None
-    nbytes: int = 0
-    model: MatchMixture | None = None
-
-
 #: Process-local attached shared-memory views, keyed by segment name.
 #: Workers attach each segment once and keep the mapping for the pool's
 #: lifetime; the parent closes and unlinks after the pool is joined.
 _SHM_VIEWS: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
-
-#: Process-local deserialised model broadcasts, keyed by segment name.
-_MODEL_CACHE: dict[str, MatchMixture] = {}
 
 
 def _view_of(ref: _ArrayRef) -> np.ndarray:
@@ -477,22 +403,6 @@ def _view_of(ref: _ArrayRef) -> np.ndarray:
     return cached[1]
 
 
-def _resolve_model(ref: _ModelRef) -> MatchMixture:
-    """The fitted mixture behind ``ref``, deserialised at most once."""
-    if ref.model is not None:
-        return ref.model
-    assert ref.shm_name is not None, "model ref carries neither model nor shm"
-    model = _MODEL_CACHE.get(ref.shm_name)
-    if model is None:
-        shm = shared_memory.SharedMemory(name=ref.shm_name)
-        try:
-            model = pickle.loads(bytes(shm.buf[: ref.nbytes]))
-        finally:
-            shm.close()
-        _MODEL_CACHE[ref.shm_name] = model
-    return model
-
-
 # --------------------------------------------------------------------- #
 # worker context + tasks
 # --------------------------------------------------------------------- #
@@ -500,8 +410,8 @@ def _resolve_model(ref: _ModelRef) -> MatchMixture:
 class _WorkerContext:
     """Heavy shared inputs, shipped once per worker (pool initializer).
 
-    Tasks themselves stay light (name lists, vid tuples, row spans): the
-    SCN, the split-balance network, the corpus, the global frequency
+    Tasks themselves stay light (name lists, row offsets, pair chunks):
+    the SCN, the split-balance network, the corpus, the global frequency
     tables and the result-buffer references travel to each worker
     process exactly once instead of once per task, which is what keeps
     pool overhead flat as the number of chunks grows.
@@ -571,12 +481,11 @@ def _require_ctx() -> _WorkerContext:
 
 @dataclass(slots=True)
 class _GammaChunkTask:
-    """Phase-A unit: a contiguous run of names, ≈equal candidate pairs.
+    """γ unit: a contiguous run of names, ≈equal candidate pairs.
 
     Chunk boundaries depend only on the network and
     :data:`GAMMA_CHUNK_PAIRS` — never on worker count — so in-process
-    and pool runs fill byte-identical buffers and a fat shard never
-    serialises the phase behind one straggler task.
+    and pool runs fill byte-identical buffers.
     """
 
     index: int
@@ -600,10 +509,9 @@ class _ChunkDone:
 #: from the worker count — so in-process and pool runs chunk identically.
 SPLIT_CHUNK_PAIRS = 50
 
-#: Candidate pairs per Phase-A γ task.  Chunks tile the global pair
-#: order with whole names and are independent of both shard and worker
-#: count, so a fat shard never serialises the phase and in-process and
-#: pool runs fill byte-identical buffers.
+#: Candidate pairs per γ task.  Chunks tile the global pair order with
+#: whole names and are independent of both shard and worker count, so
+#: in-process and pool runs fill byte-identical buffers.
 GAMMA_CHUNK_PAIRS = 2048
 
 #: Start method of the ``n_workers >= 1`` process pool: ``"fork"`` where
@@ -623,41 +531,12 @@ class _SplitScoreTask:
     pairs: list[Pair]
 
 
-@dataclass(slots=True)
-class _DecisionTask:
-    """Phase-B unit: everything a worker needs that its context lacks.
-
-    Deliberately model- and score-free: the worker re-reads its γ rows
-    from the shared buffer (``row_spans``) and scores them against the
-    broadcast model it resolves through :func:`_resolve_model`.
-    """
-
-    index: int
-    names: tuple[str, ...]                    # decision names, shard order
-    vids: tuple[int, ...]                     # owned + halo, cut in the worker
-    owned_vids: tuple[int, ...]
-    row_spans: tuple[tuple[int, int], ...]    # γ-buffer (offset, count) per name
-    model: _ModelRef
-    config: IUADConfig
-
-
-@dataclass(slots=True)
-class _ShardFit:
-    index: int
-    network: CollaborationNetwork
-    n_merges: int
-    per_round_candidate_pairs: list[int]
-    per_round_merges: list[int]
-    decision_seconds: float
-    seconds: float
-
-
 def _compute_gamma_chunk(task: _GammaChunkTask) -> _ChunkDone:
-    """Phase A: γ vectors of the chunk's candidate pairs, written in place.
+    """γ vectors of the chunk's candidate pairs, written in place.
 
     Scoring runs against the *full* process-local SCN — the same graph
     the single-process fit scores against, so profiles and γ values are
-    identical by construction (no halo bookkeeping on this path).
+    identical by construction.
 
     Each chunk deliberately starts a fresh computer: profiles are built
     only for pair endpoints, and names never straddle chunks, so chunks'
@@ -695,55 +574,6 @@ def _score_split_chunk(task: _SplitScoreTask) -> _ChunkDone:
     return _ChunkDone(index=task.index, seconds=time.perf_counter() - t0)
 
 
-def _fit_shard(task: _DecisionTask) -> _ShardFit:
-    """Phase B: run the shared decision loop on one block, drop the halo.
-
-    Round-one inputs are rebuilt worker-side: candidate pairs from the
-    process-local SCN (deterministic: sorted-vid combinations), γ rows
-    from the shared buffer, Eq. 11 scores from the cached broadcast
-    model — ``match_scores`` is row-wise, so scoring here instead of in
-    the parent is bit-identical.
-    """
-    t0 = time.perf_counter()
-    ctx = _require_ctx()
-    model = _resolve_model(task.model)
-    gamma = _view_of(ctx.gamma_ref)
-    name_pairs: list[tuple[str, list[Pair]]] = []
-    blocks: list[np.ndarray] = []
-    for name, (offset, count) in zip(task.names, task.row_spans):
-        pairs = candidate_pairs_of_name(ctx.scn, name)
-        assert len(pairs) == count, "γ row span drifted from the network"
-        name_pairs.append((name, pairs))
-        blocks.append(gamma[offset : offset + count])
-    scores = match_scores(
-        model,
-        np.concatenate(blocks) if blocks else np.zeros((0, 6), dtype=np.float64),
-    )
-    network = ctx.scn.subnetwork(task.vids)
-    computer = ctx.computer(network)
-    outcome = run_merge_rounds(
-        network,
-        [name for name, _pairs in name_pairs],
-        model,
-        computer,
-        task.config,
-        round1=(name_pairs, scores),
-    )
-    # Same-name merges keep representatives inside the owned set, so the
-    # halo survives untouched — strip it before shipping the block back.
-    owned = set(task.owned_vids)
-    survivors = [v.vid for v in outcome.network if v.vid in owned]
-    return _ShardFit(
-        index=task.index,
-        network=outcome.network.subnetwork(survivors),
-        n_merges=outcome.n_merges,
-        per_round_candidate_pairs=outcome.per_round_candidate_pairs,
-        per_round_merges=outcome.per_round_merges,
-        decision_seconds=outcome.decision_seconds,
-        seconds=time.perf_counter() - t0,
-    )
-
-
 # --------------------------------------------------------------------- #
 # γ layout
 # --------------------------------------------------------------------- #
@@ -758,11 +588,9 @@ class _GammaPlan:
     :data:`GAMMA_CHUNK_PAIRS`-sized chunks of whole names.
     """
 
-    ordered_names: list[str]
     name_rows: dict[str, tuple[int, int]]    # name -> (offset, count)
     all_pairs: list[Pair]
     tasks: list[_GammaChunkTask]
-    chunk_of_name: dict[str, int]
     chunk_starts: list[int]                  # first row of each chunk
     total_rows: int
 
@@ -788,7 +616,6 @@ def _plan_gamma(scn: CollaborationNetwork) -> _GammaPlan:
 
     budget = GAMMA_CHUNK_PAIRS
     tasks: list[_GammaChunkTask] = []
-    chunk_of_name: dict[str, int] = {}
     chunk_starts: list[int] = []
     current: list[str] = []
     current_rows = 0
@@ -807,7 +634,6 @@ def _plan_gamma(scn: CollaborationNetwork) -> _GammaPlan:
             chunk_starts.append(start)
             current, current_rows, start = [], 0, row_offset
         current.append(name)
-        chunk_of_name[name] = len(tasks)
         current_rows += count
     if current:
         tasks.append(
@@ -820,11 +646,9 @@ def _plan_gamma(scn: CollaborationNetwork) -> _GammaPlan:
         )
         chunk_starts.append(start)
     return _GammaPlan(
-        ordered_names=ordered_names,
         name_rows=name_rows,
         all_pairs=all_pairs,
         tasks=tasks,
-        chunk_of_name=chunk_of_name,
         chunk_starts=chunk_starts,
         total_rows=offset,
     )
@@ -841,18 +665,16 @@ class _PhaseStats:
     task of a kind to completion of its last), ``*_task_seconds`` are
     worker-summed compute; on a pool their walls overlap, which is the
     point — ``overlap_seconds`` is the wall-clock the pipelining bought
-    versus running γ → EM → decisions as sequential barriers.
+    versus running split scoring, γ and EM as sequential barriers.
     """
 
     pipeline_seconds: float = 0.0
     gamma_wall_seconds: float = 0.0
     split_wall_seconds: float = 0.0
     em_seconds: float = 0.0
-    decide_wall_seconds: float = 0.0
     overlap_seconds: float = 0.0
     gamma_task_seconds: float = 0.0
     split_task_seconds: float = 0.0
-    decide_task_seconds: float = 0.0
     n_gamma_chunks: int = 0
     overlap_gamma_chunks: int = 0
     ipc_task_bytes: int = 0
@@ -861,13 +683,16 @@ class _PhaseStats:
 
 @dataclass(slots=True)
 class _FitOutcome:
-    """Everything :meth:`ShardedIUAD._run` hands back to ``fit``."""
+    """Everything :meth:`ShardedIUAD._run` hands back to ``fit``.
+
+    ``scores`` holds the Eq. 11 score of every γ-buffer row;
+    ``score_seconds`` is the wall-clock of that one scoring call.
+    """
 
     model: MatchMixture
-    em_report: object
-    n_train: int
-    n_split: int
-    shard_fits: list[_ShardFit]
+    em_report: EMReport
+    scores: np.ndarray
+    score_seconds: float
     shard_gamma: dict[int, float]
     phase: _PhaseStats
 
@@ -894,23 +719,24 @@ class _InlineExecutor(Executor):
 # orchestrator
 # --------------------------------------------------------------------- #
 class ShardedIUAD(IUAD):
-    """Algorithm 1 executed shard-by-shard over independent name blocks.
+    """Algorithm 1 with its γ scoring spread over a process pool.
 
     Drop-in replacement for :class:`~repro.core.iuad.IUAD`: same
     constructor, same ``fit`` signature, same fitted-state accessors, and
-    — for ``merge_rounds == 1`` — mention clusterings identical to the
-    single-process fit.  ``config.n_workers`` picks the executor of the
-    one pipelined schedule (:meth:`_run`): a ``ProcessPoolExecutor`` of
-    that size, or for ``0`` an in-process executor running each task at
-    submission.  Both are deterministic, including under process-pool
-    scheduling (results are collected in shard order, never in
-    completion order).
+    the same GCN — vertex ids, mentions, edges with their papers — as
+    the single-process fit.  ``config.n_workers`` picks the executor of
+    the one pipelined γ schedule (:meth:`_run`): a
+    ``ProcessPoolExecutor`` of that size, or for ``0`` an in-process
+    executor running each task at submission.  The decision then runs
+    on the whole SCN through the single-process code path
+    (:meth:`IUAD._build_gcn`).  Both executors are deterministic,
+    including under process-pool scheduling (results are collected by
+    chunk index, never in completion order).
 
     After fitting, ``shard_index_`` routes streaming inserts
     (:class:`~repro.core.streaming.StreamingIngestor`) to their
-    owning shard, ``cannot_links_`` holds the re-derived cannot-link
-    pairs of the stitched network, and ``report_.shard_stats`` carries
-    the per-shard counters.
+    owning shard, ``cannot_links_`` holds the cannot-link pairs of the
+    GCN, and ``report_.shard_stats`` carries the per-shard counters.
     """
 
     def __init__(self, config: IUADConfig | None = None):
@@ -923,7 +749,7 @@ class ShardedIUAD(IUAD):
     def fit(
         self, corpus: Corpus, names: Iterable[str] | None = None
     ) -> "ShardedIUAD":
-        """Run the sharded Algorithm 1 on ``corpus``.
+        """Run Algorithm 1 on ``corpus`` with pooled γ scoring.
 
         Identical contract to :meth:`IUAD.fit`; ``names`` restricts the
         merge decisions while the model still trains on candidates from
@@ -940,25 +766,14 @@ class ShardedIUAD(IUAD):
         word_freq = dict(corpus_word_frequencies(p.title for p in corpus))
         venue_freq = dict(corpus.venue_frequencies)
 
-        plan = plan_shards(
-            scn,
-            corpus,
-            max_shard_size=cfg.max_shard_size,
-            # Only later rounds re-score on a shard's sub-network.
-            halo_radius=(
-                max(1, cfg.wl_iterations) if cfg.merge_rounds > 1 else 0
-            ),
-        )
-        decision_names = list(corpus.names if names is None else names)
-        decision_set = set(decision_names)
-
+        plan = plan_shards(scn, corpus, max_shard_size=cfg.max_shard_size)
         gplan = _plan_gamma(scn)
         split_pairs, split_tasks, split_network = self._split_tasks(scn)
         # The training sample is known *before* any γ is computed: the
         # global candidate order is a pure function of the SCN, so the
         # sample (identical to the single-process draw) tells the pool
-        # driver exactly which γ chunks the EM midsection must await —
-        # the rest keep computing underneath it.
+        # driver exactly which γ chunks EM must await — the rest keep
+        # computing underneath it.
         training = sample_training_pairs(
             gplan.all_pairs, cfg.sample_rate, cfg.min_training_pairs, cfg.seed
         )
@@ -970,8 +785,8 @@ class ShardedIUAD(IUAD):
         try:
             outcome = self._run(
                 scn, corpus, plan, gplan, split_pairs, split_tasks,
-                split_network, training, training_rows, decision_set,
-                word_freq, venue_freq, shm_blocks,
+                split_network, training_rows, word_freq, venue_freq,
+                shm_blocks,
             )
         finally:
             _CTX = previous_ctx
@@ -986,30 +801,18 @@ class ShardedIUAD(IUAD):
                     shm.unlink()
                 except FileNotFoundError:  # pragma: no cover
                     pass
-        model = outcome.model
-        shard_fits = outcome.shard_fits
 
-        # Deterministic merge: shard networks in index order, then the
-        # singleton fast path, stitched under one fresh id space.
-        t_stitch = time.perf_counter()
-        nets = [fit.network for fit in shard_fits]
-        if plan.fastpath_vids:
-            nets.append(scn.subnetwork(plan.fastpath_vids))
-        gcn, _mappings = combine_networks(nets)
-        self._recover_relations(gcn, corpus)
-        # Re-apply the cannot-link constraints on the stitched id space:
-        # the pairs that must never merge (homonymous co-authors) are
-        # re-derived from the preserved mention payloads and re-registered
-        # — registration itself re-validates that no stitched component
-        # already violates one.
-        self.cannot_links_ = cannot_link_pairs(gcn)
-        guard: UnionFind = UnionFind(v.vid for v in gcn)
-        for cl_u, cl_v in self.cannot_links_:
-            guard.forbid(cl_u, cl_v)
-        stitch_seconds = time.perf_counter() - t_stitch
-
+        # Round one reads its scores off the buffer, name by name in
+        # decision order, exactly the pairs run_merge_rounds would list.
+        decision_names = list(corpus.names if names is None else names)
+        name_pairs: list[tuple[str, list[Pair]]] = []
+        blocks: list[np.ndarray] = []
+        for name in decision_names:
+            offset, count = gplan.name_rows.get(name, (0, 0))
+            name_pairs.append((name, gplan.all_pairs[offset : offset + count]))
+            blocks.append(outcome.scores[offset : offset + count])
         computer = SimilarityComputer(
-            gcn,
+            scn,
             corpus,
             embeddings=self.embeddings_,
             word_frequencies=word_freq,
@@ -1017,17 +820,53 @@ class ShardedIUAD(IUAD):
             decay_alpha=cfg.decay_alpha,
             venue_frequencies=venue_freq,
         )
+        decided = self._build_gcn(
+            scn,
+            corpus,
+            decision_names,
+            outcome.model,
+            computer,
+            round1=(name_pairs, np.concatenate(blocks or [np.empty(0)])),
+        )
+        gcn = decided.network
         stage2 = time.perf_counter() - t1
 
         self.corpus_ = corpus
         self.scn_ = scn
         self.gcn_ = gcn
-        self.model_ = model
+        self.model_ = outcome.model
         self.computer_ = computer
         self.plan_ = plan
         self.shard_index_ = ShardIndex(plan.name_to_shard, plan.n_blocks)
-        self.report_ = self._build_report(
-            scn_report, outcome, plan, gcn, stage1, stage2, stitch_seconds,
+        self.cannot_links_ = cannot_link_pairs(gcn)
+        self.report_ = self._fit_report(
+            scn_report,
+            outcome.em_report,
+            len(training),
+            len(split_pairs),
+            decided,
+            stage1,
+            stage2,
+            # Table V's decision total: γ chunk compute, the one scoring
+            # call and the decision loop.
+            scoring_seconds=(
+                outcome.phase.gamma_task_seconds + outcome.score_seconds
+            ),
+            n_shards=len(plan.shards),
+            n_fastpath_vertices=len(plan.fastpath_vids),
+            partition_seconds=plan.seconds,
+            shard_stats=[
+                ShardStats(
+                    index=shard.index,
+                    n_names=len(shard.names),
+                    n_vertices=len(shard.owned_vids),
+                    n_papers=len(shard.pids),
+                    n_candidate_pairs=shard.n_candidate_pairs,
+                    gamma_seconds=outcome.shard_gamma.get(shard.index, 0.0),
+                )
+                for shard in plan.shards
+            ],
+            **asdict(outcome.phase),
         )
         return self
 
@@ -1043,29 +882,26 @@ class ShardedIUAD(IUAD):
         split_pairs: list[Pair],
         split_tasks: list[_SplitScoreTask],
         split_network: CollaborationNetwork | None,
-        training: list[Pair],
         training_rows: list[int],
-        decision_set: set[str],
         word_freq: dict[str, int],
         venue_freq: dict[str, int],
         shm_blocks: list[shared_memory.SharedMemory],
     ) -> _FitOutcome:
-        """The A → EM → B pipeline: submit/as_completed, no phase barriers.
+        """The γ → EM pipeline: submit/as_completed, no phase barriers.
 
         Timeline: all split-balance chunks, then all γ chunks, are
         submitted up front (split chunks first: EM needs every one of
-        them, but only the γ chunks holding a sampled row); the EM
-        midsection starts once the split buffer and the *sampled* γ rows
-        are in; each shard's decision task is dispatched the moment both
-        the model and its γ rows exist.
+        them, but only the γ chunks holding a sampled row); EM starts
+        once the split buffer and the *sampled* γ rows are in; the whole
+        γ buffer is scored once every chunk has landed.
 
         ``config.n_workers >= 1`` runs the tasks in a process pool over
         shared-memory result blocks, so the γ tail computes underneath
         EM.  ``0`` runs the same schedule through :class:`_InlineExecutor`
         over plain arrays: every task completes at submission, so the
         phases follow one another and their walls tile the pipeline.
-        Results are keyed by chunk/shard index, so completion order
-        never leaks into the outcome.
+        Results are keyed by chunk index, so completion order never
+        leaks into the outcome.
         """
         cfg = self.config
         # A fit without candidate pairs has no γ work worth a pool.
@@ -1107,6 +943,12 @@ class ShardedIUAD(IUAD):
             )
             return fut
 
+        def collect(futs) -> None:
+            for fut in as_completed(futs):
+                done = fut.result()
+                chunk_secs[done.index] = done.seconds
+                phase.gamma_task_seconds += done.seconds
+
         with executor:
             t_pipe = time.perf_counter()
             split_futs = [
@@ -1120,72 +962,31 @@ class ShardedIUAD(IUAD):
             for fut in split_futs:
                 phase.split_task_seconds += fut.result().seconds
 
-            # The EM midsection additionally needs exactly the γ chunks
-            # carrying a sampled training row — not the whole phase.
+            # EM additionally needs exactly the γ chunks carrying a
+            # sampled training row — not the whole phase.
             needed = {gplan.chunk_of_row(row) for row in training_rows}
-            em_futs = [
+            collect(
                 fut for fut, task in gamma_futs.items() if task.index in needed
-            ]
-            done_chunks: set[int] = set()
-            for fut in as_completed(em_futs):
-                done = fut.result()
-                done_chunks.add(done.index)
-                chunk_secs[done.index] = done.seconds
-                phase.gamma_task_seconds += done.seconds
+            )
 
             t_em = time.perf_counter()
-            model, em_report, n_train, n_split = self._central_section(
-                scn, corpus, training, training_rows,
-                gamma_buf, split_pairs, split_buf,
+            # Copies, so no EM state pins the shared-memory segments.
+            model, em_report = self._learn_model(
+                gamma_buf[training_rows], np.array(split_buf, copy=True)
             )
             phase.em_seconds = time.perf_counter() - t_em
 
-            if pooled:
-                model_ref = self._broadcast_model(model, shm_blocks)
-                phase.shm_bytes += model_ref.nbytes
-            else:
-                model_ref = _ModelRef(model=model)
-            tasks, fits = self._decision_tasks(
-                plan, gplan, decision_set, model_ref, scn
-            )
-            pending = {task.index: task for task in tasks}
-            rows_needed = {
-                task.index: {gplan.chunk_of_name[name] for name in task.names}
-                for task in tasks
-            }
-            decide_futs: list[Future] = []
-
-            def dispatch_ready() -> None:
-                ready = [
-                    index
-                    for index, chunks in rows_needed.items()
-                    if index in pending and chunks <= done_chunks
-                ]
-                for index in ready:
-                    decide_futs.append(
-                        submit("decide", _fit_shard, pending.pop(index))
-                    )
-
-            # Shards whose γ landed before the model go out immediately;
-            # the rest dispatch as their tail chunks complete.
-            dispatch_ready()
-            tail = [
+            # Round one scores every candidate: wait for the γ tail.
+            collect(
                 fut
                 for fut, task in gamma_futs.items()
-                if task.index not in done_chunks
-            ]
-            for fut in as_completed(tail):
-                done = fut.result()
-                done_chunks.add(done.index)
-                chunk_secs[done.index] = done.seconds
-                phase.gamma_task_seconds += done.seconds
-                dispatch_ready()
-            assert not pending, "decision dispatch lost a shard"
-            for fut in as_completed(decide_futs):
-                fit = fut.result()
-                phase.decide_task_seconds += fit.seconds
-                fits[fit.index] = fit
+                if task.index not in needed
+            )
             t_end = time.perf_counter()
+
+        t_score = time.perf_counter()
+        scores = match_scores(model, gamma_buf)
+        score_seconds = time.perf_counter() - t_score
 
         # The executor is shut down: every done-callback has fired, so
         # the completion stamps are final.
@@ -1195,32 +996,27 @@ class ShardedIUAD(IUAD):
 
         phase.gamma_wall_seconds = wall("gamma")
         phase.split_wall_seconds = wall("split")
-        phase.decide_wall_seconds = wall("decide")
         phase.pipeline_seconds = t_end - t_pipe
         phase.overlap_gamma_chunks = sum(
             1 for (k, _), ts in finished_at.items() if k == "gamma" and ts > t_em
         )
         # Concurrency won: how much longer the phases would have taken
         # laid end to end.  On a pool, split chunks run alongside the γ
-        # chunks and the γ tail runs under EM/decide, so the sum of walls
-        # can legitimately exceed the pipeline; inline it never does.
+        # chunks and the γ tail runs under EM, so the sum of walls can
+        # legitimately exceed the pipeline; inline it never does.
         phase.overlap_seconds = max(
             0.0,
             phase.gamma_wall_seconds
             + phase.split_wall_seconds
             + phase.em_seconds
-            + phase.decide_wall_seconds
             - phase.pipeline_seconds,
         )
-
-        shard_gamma = self._attribute_gamma(gplan, plan, chunk_secs)
         return _FitOutcome(
             model=model,
             em_report=em_report,
-            n_train=n_train,
-            n_split=n_split,
-            shard_fits=[fits[shard.index] for shard in plan.shards],
-            shard_gamma=shard_gamma,
+            scores=scores,
+            score_seconds=score_seconds,
+            shard_gamma=self._attribute_gamma(gplan, plan, chunk_secs),
             phase=phase,
         )
 
@@ -1286,17 +1082,6 @@ class ShardedIUAD(IUAD):
         view[:] = 0.0
         return _ArrayRef(rows=rows, shm_name=shm.name), view
 
-    @staticmethod
-    def _broadcast_model(
-        model: MatchMixture, shm_blocks: list[shared_memory.SharedMemory]
-    ) -> _ModelRef:
-        """Publish the fitted mixture once for every Phase-B worker."""
-        blob = pickle.dumps(model, pickle.HIGHEST_PROTOCOL)
-        shm = shared_memory.SharedMemory(create=True, size=len(blob))
-        shm.buf[: len(blob)] = blob
-        shm_blocks.append(shm)
-        return _ModelRef(shm_name=shm.name, nbytes=len(blob))
-
     def _split_tasks(
         self, scn: CollaborationNetwork
     ) -> tuple[list[Pair], list[_SplitScoreTask], CollaborationNetwork | None]:
@@ -1305,18 +1090,10 @@ class ShardedIUAD(IUAD):
         the layout (and the float accumulation order behind it) is
         identical in-process and on a pool.
         """
-        cfg = self.config
-        if not cfg.balance_split:
+        split = self._split_balance(scn)
+        if split is None or not split.matched_pairs:
             return [], [], None
-        split = split_prolific_vertices(
-            scn,
-            min_papers=cfg.split_min_papers,
-            max_vertices=cfg.max_split_vertices,
-            seed=cfg.seed,
-        )
         pairs = list(split.matched_pairs)
-        if not pairs:
-            return [], [], None
         chunk = SPLIT_CHUNK_PAIRS
         tasks = [
             _SplitScoreTask(
@@ -1325,88 +1102,6 @@ class ShardedIUAD(IUAD):
             for i, start in enumerate(range(0, len(pairs), chunk))
         ]
         return pairs, tasks, split.network
-
-    def _central_section(
-        self,
-        scn: CollaborationNetwork,
-        corpus: Corpus,
-        training: list[Pair],
-        training_rows: list[int],
-        gamma_buf: np.ndarray,
-        split_pairs: list[Pair],
-        split_buf: np.ndarray,
-    ):
-        """The serial middle: sampled training rows + EM fit.
-
-        The γ buffer is already in the exact global order the
-        single-process fit enumerates (``scn.names`` order, per-name
-        sorted-vid pairs — see :func:`_plan_gamma`), so the sampled rows
-        are a plain slice; nothing is re-scored.  Both inputs are
-        materialised as copies so no EM state pins the shared-memory
-        segments past the pool's lifetime.
-        """
-        training_gammas = (
-            gamma_buf[training_rows]
-            if training_rows
-            else np.zeros((0, 6), dtype=np.float64)
-        )
-        split_gammas = np.array(split_buf, dtype=np.float64, copy=True)
-        return self._learn_model(
-            scn,
-            corpus,
-            None,
-            precomputed=(training, training_gammas),
-            precomputed_split=(split_pairs, split_gammas),
-        )
-
-    def _decision_tasks(
-        self,
-        plan: ShardPlan,
-        gplan: _GammaPlan,
-        decision_set: set[str],
-        model_ref: _ModelRef,
-        scn: CollaborationNetwork,
-    ) -> tuple[list[_DecisionTask], dict[int, _ShardFit]]:
-        """Phase-B tasks plus pre-filled pass-through fits, by shard index.
-
-        Tasks carry name lists, vid tuples and γ-row spans only — scores
-        are recomputed worker-side from the shared buffer and the cached
-        broadcast model, so no score array or model copy rides in any
-        task.  A shard whose names all fall outside the decision set
-        passes its block through unchanged, like the singleton fast path.
-        """
-        cfg = self.config
-        tasks: list[_DecisionTask] = []
-        fits: dict[int, _ShardFit] = {}
-        for shard in plan.shards:
-            decision_names = tuple(
-                name for name in shard.names if name in decision_set
-            )
-            if not decision_names:
-                fits[shard.index] = _ShardFit(
-                    index=shard.index,
-                    network=scn.subnetwork(shard.owned_vids),
-                    n_merges=0,
-                    per_round_candidate_pairs=[0],
-                    per_round_merges=[0],
-                    decision_seconds=0.0,
-                    seconds=0.0,
-                )
-                continue
-            tasks.append(
-                _DecisionTask(
-                    index=shard.index,
-                    names=decision_names,
-                    vids=shard.owned_vids + shard.halo_vids,
-                    owned_vids=shard.owned_vids,
-                    row_spans=tuple(
-                        gplan.name_rows[name] for name in decision_names
-                    ),
-                    model=model_ref,
-                    config=cfg,
-                )
-            )
-        return tasks, fits
 
     @staticmethod
     def _attribute_gamma(
@@ -1428,69 +1123,3 @@ class ShardedIUAD(IUAD):
                     share = seconds * (gplan.name_rows[name][1] / total)
                     per_shard[shard_id] = per_shard.get(shard_id, 0.0) + share
         return per_shard
-
-    def _build_report(
-        self,
-        scn_report,
-        outcome: _FitOutcome,
-        plan: ShardPlan,
-        gcn: CollaborationNetwork,
-        stage1: float,
-        stage2: float,
-        stitch_seconds: float,
-    ) -> FitReport:
-        per_round_pairs: list[int] = []
-        per_round_merges: list[int] = []
-        shard_stats: list[ShardStats] = []
-        n_merges = 0
-        # Table V's decision total: γ chunk compute + each shard's loop.
-        decision_seconds = outcome.phase.gamma_task_seconds
-        for shard, fit in zip(plan.shards, outcome.shard_fits):
-            for i, count in enumerate(fit.per_round_candidate_pairs):
-                if i >= len(per_round_pairs):
-                    per_round_pairs.append(0)
-                    per_round_merges.append(0)
-                per_round_pairs[i] += count
-                per_round_merges[i] += fit.per_round_merges[i]
-            n_merges += fit.n_merges
-            decision_seconds += fit.decision_seconds
-            shard_stats.append(
-                ShardStats(
-                    index=shard.index,
-                    n_names=len(shard.names),
-                    n_vertices=len(shard.owned_vids),
-                    n_halo=len(shard.halo_vids),
-                    n_papers=len(shard.pids),
-                    n_candidate_pairs=shard.n_candidate_pairs,
-                    n_decision_pairs=(
-                        fit.per_round_candidate_pairs[0]
-                        if fit.per_round_candidate_pairs
-                        else 0
-                    ),
-                    n_merges=fit.n_merges,
-                    gamma_seconds=outcome.shard_gamma.get(shard.index, 0.0),
-                    decide_seconds=fit.seconds,
-                )
-            )
-        return FitReport(
-            scn=scn_report,
-            em=outcome.em_report,
-            n_candidate_pairs=per_round_pairs[0] if per_round_pairs else 0,
-            n_training_pairs=outcome.n_train,
-            n_split_pairs=outcome.n_split,
-            n_merges=n_merges,
-            gcn_vertices=len(gcn),
-            gcn_mentions=gcn.n_mentions,
-            gcn_edges=gcn.n_edges,
-            stage1_seconds=stage1,
-            stage2_seconds=stage2,
-            decision_seconds=decision_seconds,
-            per_round_candidate_pairs=per_round_pairs,
-            per_round_merges=per_round_merges,
-            n_shards=len(plan.shards),
-            n_fastpath_vertices=len(plan.fastpath_vids),
-            partition_seconds=plan.seconds,
-            stitch_seconds=stitch_seconds,
-            shard_stats=shard_stats,
-            **asdict(outcome.phase),
-        )

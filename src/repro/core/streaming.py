@@ -13,8 +13,8 @@ list is decided separately, and a vertex already owning an occurrence
 of ``p`` is barred from its later occurrences, so a paper listing one
 name twice always yields two distinct vertices.  Ties on the matching
 score go to the *lowest vertex id*, never to enumeration order, so
-equal-score candidates attach identically after a shard stitch and
-after a whole-corpus fit (whose name-index orders differ).
+equal-score candidates attach identically whatever the order of the
+name index.
 
 :class:`StreamingIngestor` has one ingest path,
 :meth:`~StreamingIngestor.add_papers`; ``add_paper(p)`` is
@@ -766,8 +766,8 @@ class StreamingIngestor:
 
         Enumeration order deliberately plays no role: ``np.argmax`` would
         return the first maximal entry, making equal-score attachments
-        depend on name-index insertion order, which differs between a
-        whole-corpus fit and a stitched sharded fit.
+        depend on name-index insertion order, an incidental order no
+        decision should depend on.
         """
         gcn = self.iuad.gcn_
         assert gcn is not None

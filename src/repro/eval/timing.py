@@ -117,10 +117,9 @@ def shard_summary(report: Any) -> dict[str, float]:
         "max_shard_pairs": max(pairs, default=0),
         "imbalance": (max(pairs, default=0) / ideal) if ideal else 0.0,
         "gamma_seconds": round(sum(s.gamma_seconds for s in stats), 6),
-        "decide_seconds": round(sum(s.decide_seconds for s in stats), 6),
         "partition_seconds": round(getattr(report, "partition_seconds", 0.0), 6),
-        "stitch_seconds": round(getattr(report, "stitch_seconds", 0.0), 6),
-        "total_merges": sum(s.n_merges for s in stats),
+        "decision_seconds": round(getattr(report, "decision_seconds", 0.0), 6),
+        "total_merges": getattr(report, "n_merges", 0),
     }
     # Pipeline phase walls + transport counters of the overlapped sharded
     # executor (zero on single-process reports) — committed with the
@@ -131,11 +130,9 @@ def shard_summary(report: Any) -> dict[str, float]:
         "gamma_wall_seconds",
         "split_wall_seconds",
         "em_seconds",
-        "decide_wall_seconds",
         "overlap_seconds",
         "gamma_task_seconds",
         "split_task_seconds",
-        "decide_task_seconds",
     ):
         summary[key] = round(float(getattr(report, key, 0.0)), 6)
     for key in (

@@ -1,7 +1,7 @@
 """Collaboration-network substrate: graphs, SCN builder, triangles, WL kernel,
 and the one-pass ego build of WL features and triangles."""
 
-from .collab import CollaborationNetwork, Vertex, combine_networks
+from .collab import CollaborationNetwork, Vertex
 from .ego import ego_features
 from .scn import (
     SCNBuilder,
@@ -35,7 +35,6 @@ __all__ = [
     "ball",
     "build_scn",
     "coauthor_triangle_names",
-    "combine_networks",
     "count_triangles",
     "ego_features",
     "independence_tail_probability",

@@ -458,7 +458,7 @@ class CollaborationNetwork:
         return out
 
     # ------------------------------------------------------------------ #
-    # sharding (subgraph extraction + disjoint-union stitching)
+    # subgraph extraction
     # ------------------------------------------------------------------ #
     def subnetwork(self, vids: Iterable[int]) -> "CollaborationNetwork":
         """The induced subgraph on ``vids``, with vertex ids preserved.
@@ -466,10 +466,7 @@ class CollaborationNetwork:
         Vertices are copied with their mention payloads; only edges with
         *both* endpoints in ``vids`` survive.
         Insertion happens in ascending-vid order, so repeated extractions
-        are structurally identical (deterministic name index order).  The
-        shard executor uses this twice: to cut a name block (plus its
-        profile halo) out of the global SCN, and to drop the halo again
-        before a fitted shard is shipped back.
+        are structurally identical (deterministic name index order).
         """
         keep = sorted(set(vids))
         missing = [vid for vid in keep if vid not in self._vertices]
@@ -511,52 +508,3 @@ class CollaborationNetwork:
             vid: set(self._vertices[vid].mentions.items())
             for vid in self.vertices_of_name(name)
         }
-
-
-def combine_networks(
-    nets: Sequence["CollaborationNetwork"],
-) -> tuple["CollaborationNetwork", list[dict[int, int]]]:
-    """Disjoint union of several networks under one fresh id space.
-
-    The merge step of the sharded pipeline
-    (:mod:`repro.core.sharding`): per-shard networks — whose vertex ids
-    collide across shards, or are sparse after per-shard merging — are
-    stitched into one global network.  Ids are remapped deterministically:
-    networks in list order, vertices in ascending old-id order, new ids
-    dense from 0.  Repeated stitches of the same shards therefore produce
-    identical graphs.  Returns the combined network plus one
-    ``old id -> new id`` mapping per input network.
-
-    Mention payloads are preserved exactly, and two invariants are
-    enforced during the stitch:
-
-    * per vertex, at most one mention per paper (``add_vertex`` checks);
-    * across *all* inputs, every ``(pid, position)`` occurrence is owned
-      at most once — two shards claiming one mention means the partition
-      was not a partition, and stitching would silently double-count an
-      author occurrence.
-    """
-    out = CollaborationNetwork()
-    mappings: list[dict[int, int]] = []
-    owner_of: dict[MentionKey, int] = {}
-    for net in nets:
-        mapping: dict[int, int] = {}
-        for old_vid in sorted(vertex.vid for vertex in net):
-            vertex = net.vertex(old_vid)
-            mentions = list(vertex.mentions.items())
-            new_vid = out.add_vertex(vertex.name, mentions=mentions)
-            mapping[old_vid] = new_vid
-            for key in mentions:
-                if key in owner_of:
-                    raise ValueError(
-                        f"mention {key} owned by two shards (vertices "
-                        f"{owner_of[key]} and {new_vid}); the shard "
-                        "partition must assign every occurrence once"
-                    )
-                owner_of[key] = new_vid
-        for u, nbrs in net._adj.items():
-            for v, papers in nbrs.items():
-                if u < v:
-                    out.add_edge(mapping[u], mapping[v], papers)
-        mappings.append(mapping)
-    return out, mappings

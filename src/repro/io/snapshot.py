@@ -63,11 +63,12 @@ Pair = tuple[int, int]
 class ShardingState:
     """The sharded-execution extras riding in a :class:`Snapshot`.
 
-    ``plan`` is the fitted partition (per-shard name lists, owned/halo
-    vertex ids, paper ids — the shipping manifest for future
-    multi-machine dispatch), ``index`` the *live* routing state including
-    every bridge streaming inserts have performed, ``cannot_links`` the
-    re-derived homonym constraints of the stitched network.
+    ``plan`` is the fitted partition (per-shard name lists, owned vertex
+    ids, paper ids; files written before the decision moved to the whole
+    SCN also carry per-shard ``halo_vids``, which reads ignore),
+    ``index`` the *live* routing state including every bridge streaming
+    inserts have performed, ``cannot_links`` the homonym constraints of
+    the fitted network.
     """
 
     plan: ShardPlan | None
@@ -345,7 +346,6 @@ def _encode_sharding(state: ShardingState) -> dict[str, Any]:
                     "index": s.index,
                     "names": list(s.names),
                     "owned_vids": list(s.owned_vids),
-                    "halo_vids": list(s.halo_vids),
                     "pids": list(s.pids),
                     "n_candidate_pairs": s.n_candidate_pairs,
                 }
@@ -377,7 +377,6 @@ def _decode_sharding(payload: Mapping[str, Any]) -> ShardingState:
                     index=int(s["index"]),
                     names=tuple(s["names"]),
                     owned_vids=tuple(int(v) for v in s["owned_vids"]),
-                    halo_vids=tuple(int(v) for v in s["halo_vids"]),
                     pids=tuple(int(p) for p in s["pids"]),
                     n_candidate_pairs=int(s["n_candidate_pairs"]),
                 )

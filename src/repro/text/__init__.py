@@ -5,7 +5,6 @@ from .tokenize import (
     STOP_WORDS,
     corpus_word_frequencies,
     extract_keywords,
-    frequent_words,
     tokenize,
 )
 
@@ -15,7 +14,6 @@ __all__ = [
     "corpus_word_frequencies",
     "cosine",
     "extract_keywords",
-    "frequent_words",
     "tokenize",
     "train_title_embeddings",
 ]

@@ -1,8 +1,7 @@
 """Title tokenisation and keyword extraction.
 
-γ3/γ4 (Section V-B2) work on *keywords* from paper titles: stop words and
-overly frequent generic words are excluded so that what remains carries the
-author's research interests.
+γ3/γ4 (Section V-B2) work on *keywords* from paper titles: stop words are
+excluded so that what remains carries the author's research interests.
 """
 
 from __future__ import annotations
@@ -35,16 +34,9 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def extract_keywords(
-    title: str,
-    frequent_words: frozenset[str] | set[str] = frozenset(),
-) -> list[str]:
-    """Keywords of one title: tokens minus stop words and frequent words."""
-    return [
-        tok
-        for tok in tokenize(title)
-        if tok not in STOP_WORDS and tok not in frequent_words
-    ]
+def extract_keywords(title: str) -> list[str]:
+    """Keywords of one title: its tokens minus stop words."""
+    return [tok for tok in tokenize(title) if tok not in STOP_WORDS]
 
 
 def corpus_word_frequencies(titles: Iterable[str]) -> Counter[str]:
@@ -53,22 +45,3 @@ def corpus_word_frequencies(titles: Iterable[str]) -> Counter[str]:
     for title in titles:
         counts.update(tokenize(title))
     return counts
-
-
-def frequent_words(
-    word_freq: Counter[str],
-    top_fraction: float = 0.01,
-    min_rank: int = 10,
-) -> frozenset[str]:
-    """The most frequent non-stop words, to be excluded from keywords.
-
-    The paper excludes "the frequent words in paper titles"; we drop the top
-    ``top_fraction`` of the vocabulary by frequency (at least ``min_rank``
-    words), which removes corpus-generic terms like "approach"/"method".
-    """
-    if not 0.0 <= top_fraction < 1.0:
-        raise ValueError(f"top_fraction must be in [0, 1), got {top_fraction}")
-    vocab = [w for w in word_freq if w not in STOP_WORDS]
-    vocab.sort(key=lambda w: (-word_freq[w], w))
-    cutoff = max(min_rank, int(len(vocab) * top_fraction))
-    return frozenset(vocab[:cutoff])

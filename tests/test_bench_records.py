@@ -83,7 +83,6 @@ class TestCommittedRecords:
                 "pipeline_seconds",
                 "gamma_wall_seconds",
                 "em_seconds",
-                "decide_wall_seconds",
                 "overlap_seconds",
                 "n_gamma_chunks",
                 "ipc_task_bytes",

@@ -228,8 +228,7 @@ class TestTieBreak:
     def test_equal_scores_attach_to_lowest_vid(self, base_setup):
         """Regression: the argmax tie-break is the lowest vertex id, not
         candidate enumeration order — equal-score candidates must attach
-        identically after a shard stitch and a whole-corpus fit, whose
-        name-index orders differ."""
+        identically whatever the order of the name index."""
         iuad, _td, _new, _full = base_setup
         inc = IncrementalDisambiguator(iuad)
         fresh_pid = 10**8 + 7

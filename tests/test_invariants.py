@@ -139,8 +139,7 @@ class TestShardMergeInvariants:
     """Seed-swept structural guarantees of the sharded fit.
 
     Fitting is sharded aggressively (tiny pair budget, so blocks split
-    and pack) and every invariant is checked on the *stitched* network —
-    the id-remapped merge is exactly where a partition bug would surface.
+    and pack) and every invariant is checked on the fitted network.
     """
 
     CONFIG = dict(

@@ -1,14 +1,13 @@
 """Shard-vs-global parity: the pinning suite of the sharded executor.
 
 The contract of :class:`repro.core.sharding.ShardedIUAD` is that sharding
-is an *execution strategy*, not a model change: on the paper's Algorithm 1
-(``merge_rounds == 1``) the sharded fit — serial or under a process pool —
-produces mention clusterings identical to the whole-corpus
-:meth:`IUAD.fit`, and identical across repeated runs regardless of pool
-scheduling; with whole blocks (``max_shard_size=0``) the same holds for
-two merge rounds.  These tests pin that contract on a synthetic
-duplicate-name corpus, plus the partition/stitch building blocks around
-it.
+is an *execution strategy*, not a model change: the sharded fit — serial
+or under a process pool, at any shard budget, for any number of merge
+rounds — produces the GCN of the whole-corpus :meth:`IUAD.fit`: the same
+vertex ids, names and mentions, and the same edges with the same paper
+sets.  It is identical across repeated runs regardless of pool
+scheduling.  These tests pin that contract on a synthetic duplicate-name
+corpus, plus the partition and routing around it.
 """
 
 from __future__ import annotations
@@ -27,8 +26,12 @@ from repro.core import sharding
 from repro.core.sharding import ShardIndex, plan_shards
 from repro.data.records import Corpus, Paper
 from repro.data.synthetic import ambiguous_names
-from repro.graphs import CollaborationNetwork, combine_networks
-from repro.graphs.wl import multi_source_ball
+
+
+def assert_same_network(sharded, single):
+    """The GCNs are one network: vertex ids, names, mentions, edges with
+    their paper sets, name-index order and the id watermark."""
+    assert sharded.gcn_.export_parts() == single.gcn_.export_parts()
 
 
 def mention_clusterings(est, names):
@@ -43,10 +46,14 @@ def mention_clusterings(est, names):
 
 
 @pytest.fixture(scope="module")
-def reference(small_corpus):
+def single(small_corpus):
     """Whole-corpus single-process fit — the parity baseline."""
-    iuad = IUAD(IUADConfig()).fit(small_corpus)
-    return mention_clusterings(iuad, small_corpus.names)
+    return IUAD(IUADConfig()).fit(small_corpus)
+
+
+@pytest.fixture(scope="module")
+def reference(single, small_corpus):
+    return mention_clusterings(single, small_corpus.names)
 
 
 class TestShardVsGlobalParity:
@@ -56,27 +63,30 @@ class TestShardVsGlobalParity:
         assert len(ambiguous_names(small_corpus)) >= 20
 
     def test_serial_sharded_fit_matches_global_fit(
-        self, small_corpus, reference
+        self, small_corpus, single, reference
     ):
         sharded = ShardedIUAD(IUADConfig(n_workers=0)).fit(small_corpus)
         assert mention_clusterings(sharded, small_corpus.names) == reference
+        assert_same_network(sharded, single)
 
     def test_process_pool_fit_matches_global_fit(
-        self, small_corpus, reference
+        self, small_corpus, single, reference
     ):
         sharded = ShardedIUAD(IUADConfig(n_workers=2)).fit(small_corpus)
         assert mention_clusterings(sharded, small_corpus.names) == reference
+        assert_same_network(sharded, single)
 
     def test_split_blocks_still_match_global_fit(
-        self, small_corpus, reference
+        self, small_corpus, single, reference
     ):
         # A tiny shard budget forces the giant name block to be split and
-        # packs many shards — decisions must not change.
+        # packs many shards — neither decisions nor edges may change.
         sharded = ShardedIUAD(
             IUADConfig(n_workers=0, max_shard_size=300)
         ).fit(small_corpus)
         assert sharded.report_.n_shards > 3
         assert mention_clusterings(sharded, small_corpus.names) == reference
+        assert_same_network(sharded, single)
 
     def test_pool_runs_are_deterministic(self, small_corpus):
         a = ShardedIUAD(IUADConfig(n_workers=2, max_shard_size=300)).fit(
@@ -88,6 +98,7 @@ class TestShardVsGlobalParity:
         names = small_corpus.names
         assert mention_clusterings(a, names) == mention_clusterings(b, names)
         assert a.report_.n_merges == b.report_.n_merges
+        assert_same_network(a, b)
 
     def test_decision_name_restriction_matches_global(self, small_corpus):
         names = ambiguous_names(small_corpus)[:10]
@@ -96,17 +107,18 @@ class TestShardVsGlobalParity:
         assert mention_clusterings(sharded, names) == mention_clusterings(
             base, names
         )
+        assert_same_network(sharded, base)
 
     def test_spawn_pool_fit_matches_global_fit(
-        self, small_corpus, reference, monkeypatch
+        self, small_corpus, single, reference, monkeypatch
     ):
         # Spawn workers receive the context pickled through the pool
-        # initializer instead of fork's copy-on-write, and the model
-        # through the shared-memory broadcast — the shipping path on a
-        # platform without fork.
+        # initializer instead of fork's copy-on-write — the shipping path
+        # on a platform without fork.
         monkeypatch.setattr(sharding, "START_METHOD", "spawn")
         sharded = ShardedIUAD(IUADConfig(n_workers=2)).fit(small_corpus)
         assert mention_clusterings(sharded, small_corpus.names) == reference
+        assert_same_network(sharded, single)
 
     def test_gamma_chunk_size_does_not_change_decisions(
         self, small_corpus, reference, monkeypatch
@@ -120,26 +132,32 @@ class TestShardVsGlobalParity:
         assert mention_clusterings(sharded, small_corpus.names) == reference
 
     def test_multi_round_whole_blocks_match_global_fit(self, small_corpus):
-        # With merge_rounds > 1, exactness needs whole blocks: a later
-        # round re-scores on profiles merged in the round before.  δ is
-        # lowered so that round two has merges to make (at the default
-        # δ this corpus merges nothing and the test would be vacuous).
-        config = IUADConfig(
-            merge_rounds=2, delta=20.0, later_delta=0.0, max_shard_size=0
-        )
-        single = IUAD(config).fit(small_corpus)
-        sharded = ShardedIUAD(replace(config, n_workers=0)).fit(small_corpus)
-        assert single.report_.per_round_merges[1] > 0
-        # Round two re-scores on the shards' sub-networks: they keep a halo.
-        assert any(s.n_halo for s in sharded.report_.shard_stats)
-        assert (
-            sharded.report_.per_round_merges
-            == single.report_.per_round_merges
-        )
-        names = small_corpus.names
-        assert mention_clusterings(sharded, names) == mention_clusterings(
-            single, names
-        )
+        assert_two_round_parity(small_corpus, max_shard_size=0)
+
+    def test_multi_round_split_blocks_match_global_fit(self, small_corpus):
+        # Round two reads profiles across the shard cuts of round one.
+        assert_two_round_parity(small_corpus, max_shard_size=300)
+
+
+def assert_two_round_parity(corpus, max_shard_size):
+    """A later round re-scores on profiles merged in the round before,
+    read off the whole merged network whatever the shard budget.  δ is
+    lowered so that round two has merges to make (at the default δ this
+    corpus merges nothing and the check would be vacuous)."""
+    config = IUADConfig(
+        merge_rounds=2,
+        delta=20.0,
+        later_delta=0.0,
+        max_shard_size=max_shard_size,
+    )
+    single = IUAD(config).fit(corpus)
+    sharded = ShardedIUAD(replace(config, n_workers=0)).fit(corpus)
+    assert single.report_.per_round_merges[1] > 0
+    assert sharded.report_.per_round_merges == single.report_.per_round_merges
+    assert mention_clusterings(sharded, corpus.names) == mention_clusterings(
+        single, corpus.names
+    )
+    assert_same_network(sharded, single)
 
 
 class TestShardReporting:
@@ -148,9 +166,9 @@ class TestShardReporting:
         report = sharded.report_
         assert report.n_shards == len(report.shard_stats) > 0
         assert report.n_fastpath_vertices > 0
-        # Decision pairs of round one equal the per-shard sum.
+        # Round one decides every candidate pair the shards hold.
         assert report.n_candidate_pairs == sum(
-            s.n_decision_pairs for s in report.shard_stats
+            s.n_candidate_pairs for s in report.shard_stats
         )
         # Every shard did measurable gamma work and owns vertices.
         for stats in report.shard_stats:
@@ -160,22 +178,6 @@ class TestShardReporting:
         assert (
             report.gcn_mentions == small_corpus.num_author_paper_pairs
         )
-
-    def test_one_round_fit_plans_no_halo(self, small_corpus):
-        sharded = ShardedIUAD(IUADConfig(max_shard_size=300)).fit(small_corpus)
-        assert sharded.report_.shard_stats
-        assert all(s.n_halo == 0 for s in sharded.report_.shard_stats)
-        assert all(not s.halo_vids for s in sharded.plan_.shards)
-
-    def test_halo_radius_counts_hops(self, small_corpus):
-        scn, _ = IUAD(IUADConfig())._build_scn(small_corpus)
-        for radius in (0, 1, 2):
-            plan = plan_shards(
-                scn, small_corpus, max_shard_size=300, halo_radius=radius
-            )
-            for shard in plan.shards:
-                reach = multi_source_ball(scn, shard.owned_vids, radius)
-                assert set(shard.halo_vids) == reach - set(shard.owned_vids)
 
     def test_partition_covers_every_pair_bearing_name_once(
         self, small_corpus
@@ -228,7 +230,7 @@ class TestPipelineAccounting:
         )
 
     def test_serial_stages_partition_the_pipeline(self, serial_report):
-        # Serial execution has no overlap by construction: the four
+        # Serial execution has no overlap by construction: the three
         # stage walls tile the pipeline span.  This is exactly the
         # invariant lazy generators used to break — split scoring that
         # executes inside the EM stage's timer shifts wall-clock between
@@ -238,7 +240,6 @@ class TestPipelineAccounting:
             r.gamma_wall_seconds
             + r.split_wall_seconds
             + r.em_seconds
-            + r.decide_wall_seconds
         )
         assert r.overlap_seconds == 0.0
         assert r.overlap_gamma_chunks == 0
@@ -250,18 +251,14 @@ class TestPipelineAccounting:
         r = serial_report
         assert r.gamma_wall_seconds >= r.gamma_task_seconds > 0.0
         assert r.split_wall_seconds >= r.split_task_seconds
-        assert r.decide_wall_seconds >= r.decide_task_seconds > 0.0
 
     def test_task_seconds_match_shard_attribution(self, serial_report):
-        # The per-shard γ/decide attribution is a *redistribution* of the
-        # worker-summed totals, never an inflation or a loss.
+        # The per-shard γ attribution is a *redistribution* of the
+        # worker-summed total, never an inflation or a loss.
         r = serial_report
         assert sum(
             s.gamma_seconds for s in r.shard_stats
         ) == pytest.approx(r.gamma_task_seconds, abs=1e-6)
-        assert sum(
-            s.decide_seconds for s in r.shard_stats
-        ) == pytest.approx(r.decide_task_seconds, abs=1e-6)
 
     def test_serial_runs_ship_no_ipc(self, serial_report):
         assert serial_report.ipc_task_bytes == 0
@@ -276,7 +273,6 @@ class TestPipelineAccounting:
         eps = 0.05
         assert 0.0 <= r.gamma_wall_seconds <= r.pipeline_seconds + eps
         assert 0.0 <= r.split_wall_seconds <= r.pipeline_seconds + eps
-        assert 0.0 <= r.decide_wall_seconds <= r.pipeline_seconds + eps
         assert r.em_seconds <= r.pipeline_seconds + eps
         assert r.overlap_seconds >= 0.0
         assert r.overlap_seconds == pytest.approx(
@@ -285,7 +281,6 @@ class TestPipelineAccounting:
                 r.gamma_wall_seconds
                 + r.split_wall_seconds
                 + r.em_seconds
-                + r.decide_wall_seconds
                 - r.pipeline_seconds,
             ),
             abs=1e-6,
@@ -299,13 +294,10 @@ class TestPipelineAccounting:
         assert sum(
             s.gamma_seconds for s in r.shard_stats
         ) == pytest.approx(r.gamma_task_seconds, abs=1e-6)
-        assert sum(
-            s.decide_seconds for s in r.shard_stats
-        ) == pytest.approx(r.decide_task_seconds, abs=1e-6)
         # Tasks travelled by pickle (tiny), results by shared memory.
         assert r.ipc_task_bytes > 0
         assert r.shm_bytes > 0
-        # Stage 2 wraps the whole pipeline plus stitch/model bookkeeping.
+        # Stage 2 wraps the whole pipeline plus the decision.
         assert r.stage2_seconds >= r.pipeline_seconds
 
 
@@ -354,7 +346,7 @@ class TestSchedulerFailurePaths:
         assert _shm_segments() - segments_before == set()
         assert sharding._CTX is ctx_before
 
-    @pytest.mark.parametrize("task_fn", ["_compute_gamma_chunk", "_fit_shard"])
+    @pytest.mark.parametrize("task_fn", ["_compute_gamma_chunk"])
     def test_inline_task_error_propagates_unchanged(
         self, small_corpus, monkeypatch, task_fn
     ):
@@ -424,43 +416,3 @@ class TestShardedIncrementalRouting:
         assert index.shard_of_name("a") == index.shard_of_name("b") == sid
         assert index.shard_of_name("c") != sid
         assert index.n_shards == 2
-
-
-class TestCombineNetworks:
-    def _block(self, name, pid, position=0):
-        net = CollaborationNetwork()
-        net.add_vertex(name, mentions=((pid, position),), vid=7)
-        return net
-
-    def test_remapping_is_dense_and_deterministic(self):
-        a = CollaborationNetwork()
-        a1 = a.add_vertex("x", mentions=((0, 0),), vid=5)
-        a2 = a.add_vertex("y", mentions=((0, 1),), vid=9)
-        a.add_edge(a1, a2, {0})
-        b = self._block("z", 1)
-        combined, mappings = combine_networks([a, b])
-        again, mappings2 = combine_networks([a, b])
-        assert mappings == mappings2 == [{5: 0, 9: 1}, {7: 2}]
-        assert len(combined) == 3
-        assert combined.has_edge(0, 1)
-        assert combined.mentions_of(0) == {0: 0}
-        assert sorted(v.name for v in combined) == sorted(
-            v.name for v in again
-        )
-
-    def test_double_owned_mention_is_rejected(self):
-        a = self._block("x", 3, position=1)
-        b = self._block("x", 3, position=1)
-        with pytest.raises(ValueError, match="owned by two shards"):
-            combine_networks([a, b])
-
-    def test_edge_papers_do_not_leak_into_attribution(self):
-        net = CollaborationNetwork()
-        u = net.add_vertex("x", mentions=((0, 0),))
-        v = net.add_vertex("y", mentions=((1, 0),))
-        # edge carries a support paper attributed to neither mention set
-        net.add_edge(u, v, {5})
-        combined, (mapping,) = combine_networks([net])
-        assert combined.papers_of(mapping[u]) == {0}
-        assert combined.papers_of(mapping[v]) == {1}
-        assert combined.edge_papers(mapping[u], mapping[v]) == {5}

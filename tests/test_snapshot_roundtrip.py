@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import IUAD, IUADConfig, StreamingIngestor
-from repro.graphs.collab import CollaborationNetwork, combine_networks
+from repro.graphs.collab import CollaborationNetwork
 from repro.io import (
     Snapshot,
     read_document,
@@ -157,20 +157,13 @@ def test_name_index_order_survives_reload():
     assert restored._next_vid == 3
 
 
-def test_combine_networks_and_subnetwork_keep_watermark():
-    """The other two reconstruction paths of the audit: extraction keeps
-    explicit ids (watermark above the kept maximum), stitching re-issues
-    a dense fresh id space with a consistent watermark."""
+def test_subnetwork_keeps_watermark():
+    """The other reconstruction path of the audit: extraction keeps
+    explicit ids (watermark above the kept maximum)."""
     net = gapped_network()
     sub = net.subnetwork([0, 7])
     assert sub._next_vid == 8
     assert sub.add_vertex("fresh") == 8
-
-    combined, mappings = combine_networks([gapped_network()])
-    assert sorted(v.vid for v in combined) == [0, 1]
-    assert combined._next_vid == 2
-    assert combined.add_vertex("fresh") == 2
-    assert mappings == [{0: 0, 7: 1}]
 
 
 # --------------------------------------------------------------------- #
@@ -335,9 +328,10 @@ def test_truncated_snapshot_fails_alike_at_every_entry_point(
 def test_v1_fixture_still_loads_and_serves(tmp_path):
     """The committed v1 snapshot (see ``fixtures/make_snapshot_fixture.py``)
     must keep loading verbatim in every future build.  Its retired
-    ``computer.batch_threshold`` key and empty
-    ``computer.frequent_keywords`` list are ignored on read and not
-    written back when the resumed state is saved."""
+    ``computer.batch_threshold`` key, empty
+    ``computer.frequent_keywords`` list and per-shard ``halo_vids`` are
+    ignored on read and not written back when the resumed state is
+    saved."""
     from repro.data.records import Paper
 
     snapshot = Snapshot.load(FIXTURE)
@@ -370,6 +364,13 @@ def test_v1_fixture_still_loads_and_serves(tmp_path):
         "word_frequencies", "venue_frequencies"
     }
     assert not LEGACY_STREAM_KEYS & set(sections["stream"])
+    stored_shards = fixture_section("sharding")["plan"]["shards"]
+    resaved_shards = sections["sharding"]["plan"]["shards"]
+    assert all("halo_vids" in shard for shard in stored_shards)
+    assert [
+        {key: value for key, value in shard.items() if key != "halo_vids"}
+        for shard in stored_shards
+    ] == resaved_shards
     assert "incremental_timing_window" not in sections["config"]
     assert verify_snapshot(Snapshot.load(resaved)) == []
 

@@ -11,7 +11,6 @@ from repro.text import (
     corpus_word_frequencies,
     cosine,
     extract_keywords,
-    frequent_words,
     tokenize,
     train_title_embeddings,
 )
@@ -44,23 +43,10 @@ class TestKeywords:
         kws = extract_keywords("the index of the query")
         assert kws == ["index", "query"]
 
-    def test_frequent_words_removed(self):
-        kws = extract_keywords("novel query index", frozenset({"novel"}))
-        assert kws == ["query", "index"]
-
     def test_corpus_frequencies(self):
         freq = corpus_word_frequencies(["query index", "query join"])
         assert freq["query"] == 2
         assert freq["join"] == 1
-
-    def test_frequent_words_selection(self):
-        freq = corpus_word_frequencies(["query"] * 50 + ["join"] * 2)
-        top = frequent_words(freq, top_fraction=0.5, min_rank=1)
-        assert "query" in top
-
-    def test_frequent_words_validation(self):
-        with pytest.raises(ValueError):
-            frequent_words({}, top_fraction=1.5)
 
 
 class TestEmbeddings:
